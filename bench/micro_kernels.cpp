@@ -3,28 +3,25 @@
 // scanning, and partial-graph serialization.
 //
 // Beyond the google-benchmark registrations, the binary has a
-// machine-readable mode comparing every rank-kernel variant (DESIGN.md
-// §9/§14: planned, +reorder, +SIMD, float32) against the naive
-// reference and emitting BENCH_kernels.json:
+// machine-readable mode timing the planned rank kernel (DESIGN.md §9)
+// against the naive reference and emitting BENCH_kernels.json:
 //
 //   micro_kernels --kernels_json=BENCH_kernels.json
 //       [--kernels_scale=20] [--kernels_degree=32] [--kernels_threads=8]
 //       [--kernels_iters=5] [--kernels_min_speedup=0] [--kernels_only]
 //
 // The graph defaults to the Table V high-degree point (RMAT-20, avg
-// degree 32). Exits nonzero if any variant breaks its bit-identity
-// gate or the best f64 speedup falls below --kernels_min_speedup, so
-// scripts/check.sh can gate on the smoke run.
+// degree 32). Exits nonzero if the planned kernel's ranks are not
+// bitwise equal to the reference's or its speedup falls below
+// --kernels_min_speedup, so scripts/check.sh can gate on the smoke run.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "aggregator/aggregator.h"
@@ -175,15 +172,8 @@ void BM_EndToEndCheck(benchmark::State& state) {
 BENCHMARK(BM_EndToEndCheck)->Arg(1000)->Arg(5000);
 
 // ---------------------------------------------------------------------
-// --kernels_json mode: per-variant comparison against the naive
-// reference on one graph. The variants form the compounding-layer
-// progression of DESIGN.md §14:
-//
-//   naive → planned → planned+reorder → planned+reorder+SIMD → float32
-//
-// Every variant is gated: kNone rows must be bitwise equal to naive,
-// SIMD rows bitwise equal to the scalar run of the same layout, and
-// the float32 row's L∞ error against the f64 oracle must stay small.
+// --kernels_json mode: the planned kernel against the naive reference
+// on one graph, gated on bitwise-equal ranks.
 // ---------------------------------------------------------------------
 
 struct KernelCompareOptions {
@@ -192,21 +182,8 @@ struct KernelCompareOptions {
   std::uint32_t degree = 32;  // Table V's high-degree sweep point
   std::size_t threads = 8;
   std::size_t iters = 5;          // timed iterations per kernel
-  double min_speedup = 0.0;       // floor on the best f64 row (0 = off)
+  double min_speedup = 0.0;       // floor on the planned speedup (0 = off)
   bool only = false;  // skip the google-benchmark suite afterwards
-};
-
-struct VariantRow {
-  const char* name;
-  PlanOptions plan_options;
-  bool use_simd = false;
-  double seconds_per_iteration = 0.0;
-  double speedup = 0.0;
-  double plan_build_seconds = 0.0;
-  std::uint64_t plan_bytes = 0;
-  double plan_bytes_per_edge = 0.0;
-  bool bit_identical = false;
-  double linf_error = -1.0;  // float32 row only; vs the f64 naive run
 };
 
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
@@ -234,6 +211,7 @@ bool run_kernel_comparison(KernelCompareOptions options) {
   FaultyRankConfig config;
   config.max_iterations = options.iters;
   config.epsilon = 1e-300;  // never converges: every run does `iters`
+  const double per_iter = static_cast<double>(options.iters);
 
   // Untimed warmup touches every page of both CSRs and the rank arrays.
   FaultyRankConfig warmup = config;
@@ -243,102 +221,30 @@ bool run_kernel_comparison(KernelCompareOptions options) {
   WallTimer naive_timer;
   const FaultyRankResult naive =
       run_faultyrank_reference(graph, config, pool_ptr);
-  const double per_iter = static_cast<double>(options.iters);
   const double naive_per_iter = naive_timer.seconds() / per_iter;
 
-#if defined(FAULTYRANK_SIMD)
-  constexpr bool kSimdCompiled = true;
-#else
-  constexpr bool kSimdCompiled = false;
-#endif
+  WallTimer build_timer;
+  const PropagationPlan plan =
+      PropagationPlan::build(graph, config.unpaired_weight, pool_ptr);
+  const double plan_build_seconds = build_timer.seconds();
+  const std::uint64_t plan_bytes = plan.bytes();
 
-  VariantRow rows[] = {
-      {"planned", {VertexOrdering::kNone, false}, false},
-      {"planned_reorder", {VertexOrdering::kDegree, false}, false},
-      {"planned_reorder_simd", {VertexOrdering::kDegree, false}, true},
-      {"float32", {VertexOrdering::kDegree, true}, true},
-  };
+  (void)run_faultyrank(graph, plan, warmup, pool_ptr);
+  WallTimer run_timer;
+  const FaultyRankResult planned =
+      run_faultyrank(graph, plan, config, pool_ptr);
+  const double planned_per_iter = run_timer.seconds() / per_iter;
+  const double speedup =
+      planned_per_iter > 0.0 ? naive_per_iter / planned_per_iter : 0.0;
+  const bool bit_identical = bits_equal(planned.id_rank, naive.id_rank) &&
+                             bits_equal(planned.prop_rank, naive.prop_rank);
 
-  double max_abs_rank = 0.0;
-  for (const double r : naive.id_rank) {
-    max_abs_rank = std::max(max_abs_rank, std::abs(r));
-  }
-
-  bool all_gates = true;
-  double best_f64_speedup = 0.0;
-  double best_speedup = 0.0;
-  for (VariantRow& row : rows) {
-    WallTimer build_timer;
-    const PropagationPlan plan = PropagationPlan::build(
-        graph, config.unpaired_weight, pool_ptr, row.plan_options);
-    row.plan_build_seconds = build_timer.seconds();
-    row.plan_bytes = plan.bytes();
-    row.plan_bytes_per_edge = static_cast<double>(row.plan_bytes) / edge_count;
-
-    FaultyRankConfig run_config = config;
-    run_config.ordering = row.plan_options.ordering;
-    run_config.float32 = row.plan_options.float32;
-    run_config.use_simd = row.use_simd;
-
-    FaultyRankConfig variant_warmup = run_config;
-    variant_warmup.max_iterations = 1;
-    (void)run_faultyrank(graph, plan, variant_warmup, pool_ptr);
-    WallTimer run_timer;
-    const FaultyRankResult result =
-        run_faultyrank(graph, plan, run_config, pool_ptr);
-    row.seconds_per_iteration = run_timer.seconds() / per_iter;
-    row.speedup = row.seconds_per_iteration > 0.0
-                      ? naive_per_iter / row.seconds_per_iteration
-                      : 0.0;
-
-    // Bit gate. kNone/f64 rows must reproduce naive exactly; every
-    // SIMD row must reproduce the scalar run of the same layout
-    // (ordering + precision) exactly — the §14 determinism contract.
-    if (row.use_simd) {
-      FaultyRankConfig scalar_config = run_config;
-      scalar_config.use_simd = false;
-      const FaultyRankResult scalar =
-          run_faultyrank(graph, plan, scalar_config, pool_ptr);
-      row.bit_identical = bits_equal(result.id_rank, scalar.id_rank) &&
-                          bits_equal(result.prop_rank, scalar.prop_rank);
-    } else if (row.plan_options.ordering == VertexOrdering::kNone &&
-               !row.plan_options.float32) {
-      row.bit_identical = bits_equal(result.id_rank, naive.id_rank) &&
-                          bits_equal(result.prop_rank, naive.prop_rank);
-    } else {
-      // Reordered scalar f64: bit-identical to the reference on the
-      // relabeled graph by construction (covered by tests); here gate
-      // on determinism vs a second identical run.
-      const FaultyRankResult again =
-          run_faultyrank(graph, plan, run_config, pool_ptr);
-      row.bit_identical = bits_equal(result.id_rank, again.id_rank) &&
-                          bits_equal(result.prop_rank, again.prop_rank);
-    }
-
-    if (row.plan_options.float32) {
-      double linf = 0.0;
-      for (std::size_t v = 0; v < naive.id_rank.size(); ++v) {
-        linf = std::max(linf, std::abs(naive.id_rank[v] - result.id_rank[v]));
-      }
-      row.linf_error = linf;
-    } else {
-      best_f64_speedup = std::max(best_f64_speedup, row.speedup);
-    }
-    best_speedup = std::max(best_speedup, row.speedup);
-    all_gates = all_gates && row.bit_identical;
-
-    std::printf(
-        "kernels: %-22s %.4f s/iter (%.2fx)  plan %.2f B/edge  build %.3f s"
-        "  bit_identical=%s%s\n",
-        row.name, row.seconds_per_iteration, row.speedup,
-        row.plan_bytes_per_edge, row.plan_build_seconds,
-        row.bit_identical ? "true" : "false",
-        row.linf_error >= 0.0 ? "  (f32)" : "");
-  }
   std::printf(
-      "kernels: naive %.4f s/iter — best f64 speedup %.2fx, best overall "
-      "%.2fx\n",
-      naive_per_iter, best_f64_speedup, best_speedup);
+      "kernels: naive %.4f s/iter, planned %.4f s/iter (%.2fx)  plan %.2f "
+      "B/edge  build %.3f s  bit_identical=%s\n",
+      naive_per_iter, planned_per_iter, speedup,
+      static_cast<double>(plan_bytes) / edge_count, plan_build_seconds,
+      bit_identical ? "true" : "false");
 
   std::FILE* out = std::fopen(options.json_path.c_str(), "w");
   if (out == nullptr) {
@@ -348,62 +254,40 @@ bool run_kernel_comparison(KernelCompareOptions options) {
   }
   std::fprintf(out,
                "{\n"
-               "  \"bench\": \"rank_kernel_variants\",\n"
+               "  \"bench\": \"rank_kernels\",\n"
                "  \"graph\": {\"kind\": \"rmat\", \"scale\": %u, "
                "\"avg_degree\": %u, \"vertices\": %zu, \"edges\": %llu},\n"
+               "  \"host_cpus\": %u,\n"
                "  \"threads\": %zu,\n"
                "  \"iterations\": %zu,\n"
-               "  \"simd_compiled\": %s,\n"
                "  \"naive_seconds_per_iteration\": %.6e,\n"
-               "  \"variants\": [\n",
-               options.scale, options.degree, graph.vertex_count(),
-               static_cast<unsigned long long>(graph.edge_count()),
-               options.threads, options.iters,
-               kSimdCompiled ? "true" : "false", naive_per_iter);
-  const std::size_t row_count = std::size(rows);
-  for (std::size_t i = 0; i < row_count; ++i) {
-    const VariantRow& row = rows[i];
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"ordering\": \"%s\", "
-                 "\"precision\": \"%s\", \"simd\": %s,\n"
-                 "     \"seconds_per_iteration\": %.6e, \"speedup\": %.3f,\n"
-                 "     \"plan_build_seconds\": %.6e, \"plan_bytes\": %llu, "
-                 "\"plan_bytes_per_edge\": %.2f,\n"
-                 "     \"bit_identical\": %s",
-                 row.name, to_string(row.plan_options.ordering),
-                 row.plan_options.float32 ? "f32" : "f64",
-                 row.use_simd ? "true" : "false", row.seconds_per_iteration,
-                 row.speedup, row.plan_build_seconds,
-                 static_cast<unsigned long long>(row.plan_bytes),
-                 row.plan_bytes_per_edge,
-                 row.bit_identical ? "true" : "false");
-    if (row.linf_error >= 0.0) {
-      std::fprintf(out, ", \"linf_error\": %.6e, \"linf_error_rel\": %.6e",
-                   row.linf_error,
-                   max_abs_rank > 0.0 ? row.linf_error / max_abs_rank : 0.0);
-    }
-    std::fprintf(out, "}%s\n", i + 1 < row_count ? "," : "");
-  }
-  std::fprintf(out,
-               "  ],\n"
-               "  \"best_f64_speedup\": %.3f,\n"
-               "  \"best_speedup\": %.3f,\n"
+               "  \"planned_seconds_per_iteration\": %.6e,\n"
+               "  \"speedup\": %.3f,\n"
+               "  \"plan_build_seconds\": %.6e,\n"
+               "  \"plan_bytes\": %llu,\n"
+               "  \"plan_bytes_per_edge\": %.2f,\n"
                "  \"bit_identical\": %s\n"
                "}\n",
-               best_f64_speedup, best_speedup, all_gates ? "true" : "false");
+               options.scale, options.degree, graph.vertex_count(),
+               static_cast<unsigned long long>(graph.edge_count()),
+               std::thread::hardware_concurrency(), options.threads,
+               options.iters, naive_per_iter, planned_per_iter, speedup,
+               plan_build_seconds, static_cast<unsigned long long>(plan_bytes),
+               static_cast<double>(plan_bytes) / edge_count,
+               bit_identical ? "true" : "false");
   std::fclose(out);
 
-  if (!all_gates) {
+  if (!bit_identical) {
     std::fprintf(stderr,
-                 "micro_kernels: a kernel variant broke its bit-identity "
+                 "micro_kernels: the planned kernel broke its bit-identity "
                  "gate!\n");
     return false;
   }
-  if (options.min_speedup > 0.0 && best_speedup < options.min_speedup) {
+  if (options.min_speedup > 0.0 && speedup < options.min_speedup) {
     std::fprintf(stderr,
-                 "micro_kernels: best variant speedup %.2fx is below the "
+                 "micro_kernels: planned speedup %.2fx is below the "
                  "--kernels_min_speedup floor %.2fx\n",
-                 best_speedup, options.min_speedup);
+                 speedup, options.min_speedup);
     return false;
   }
   return true;

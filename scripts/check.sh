@@ -88,25 +88,16 @@ run ./build/bench/crash_matrix --smoke --out build/BENCH_crash_smoke.json
 #     or degraded-coverage recovery breaks.
 run ./build/bench/soak --smoke --out build/BENCH_soak_smoke.json
 
-# 6. Kernel-variant smoke: every rank-kernel variant (planned,
-#    +reorder, +SIMD, float32 — DESIGN.md §14) must hold its
-#    bit-identity gate, and the best f64 variant must beat the naive
-#    reference by the regression floor (exit 1 otherwise). Small graph —
-#    this is a correctness gate; the committed BENCH_kernels.json comes
-#    from the full-size Table V run (see README). The floor is modest
-#    at smoke scale: CI boxes are noisy and the smoke graph is small.
+# 6. Rank-kernel smoke: the planned kernel (DESIGN.md §9) must
+#    reproduce the naive reference bit for bit and beat it by the
+#    regression floor (exit 1 otherwise). Small graph — this is a
+#    correctness gate; the committed BENCH_kernels.json comes from the
+#    full-size Table V run (see README). The floor is modest at smoke
+#    scale: CI boxes are noisy and the smoke graph is small.
 run ./build/bench/micro_kernels --kernels_only \
   --kernels_json=build/BENCH_kernels.json \
   --kernels_scale=14 --kernels_degree=8 --kernels_threads=4 \
   --kernels_min_speedup=1.3
-
-# 6b. Scalar-only build: FAULTYRANK_SIMD=OFF must still compile and
-#     pass the full suite (the SIMD goldens skip themselves), proving
-#     the AVX2 TU is genuinely optional and the scalar lane tree is
-#     the source of truth.
-run cmake --preset nosimd
-run cmake --build --preset nosimd -j "${JOBS}"
-run ctest --preset nosimd -j "${JOBS}"
 
 echo
 echo "check.sh: all gates green"

@@ -344,17 +344,4 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
   return out;
 }
 
-PipelineResult scan_and_aggregate(const LustreCluster& cluster,
-                                  ThreadPool* pool, const DiskModel& mdt_disk,
-                                  const DiskModel& ost_disk,
-                                  const NetModel& net) {
-  PipelineConfig config;
-  config.pool = pool;
-  config.mdt_disk = mdt_disk;
-  config.ost_disk = ost_disk;
-  config.net = net;
-  config.allow_degraded = false;
-  return scan_and_aggregate(cluster, config);
-}
-
 }  // namespace faultyrank

@@ -166,13 +166,4 @@ struct PipelineResult {
 [[nodiscard]] PipelineResult scan_and_aggregate(const LustreCluster& cluster,
                                                 const PipelineConfig& config);
 
-/// Strict legacy entry point: no faults, no checkpointing, and any
-/// failed scan raises PipelineError (after all scans have finished,
-/// naming every failed server — completed work is not discarded on the
-/// first failure).
-[[nodiscard]] PipelineResult scan_and_aggregate(
-    const LustreCluster& cluster, ThreadPool* pool = nullptr,
-    const DiskModel& mdt_disk = DiskModel::ssd(),
-    const DiskModel& ost_disk = DiskModel::hdd(), const NetModel& net = {});
-
 }  // namespace faultyrank

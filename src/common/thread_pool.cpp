@@ -8,28 +8,19 @@ namespace faultyrank {
 
 namespace {
 
-/// Pops one task of `group` — shared queue first, then any worker's
-/// pinned queue — so group waiters always make progress even when a
-/// pinned target is busy or is the waiter itself. Caller holds the
-/// pool mutex.
-template <typename Queue, typename PinnedQueues>
-bool steal_group_task(Queue& queue, PinnedQueues& pinned, TaskGroup* group,
+/// Pops the first queued task of `group`, if any, so group waiters
+/// always make progress even when every worker is busy. Caller holds
+/// the pool mutex.
+template <typename Queue>
+bool steal_group_task(Queue& queue, TaskGroup* group,
                       typename Queue::value_type& out) {
-  const auto mine = [group](const auto& t) { return t.group == group; };
-  if (auto it = std::find_if(queue.begin(), queue.end(), mine);
-      it != queue.end()) {
-    out = std::move(*it);
-    queue.erase(it);
-    return true;
-  }
-  for (auto& q : pinned) {
-    if (auto it = std::find_if(q.begin(), q.end(), mine); it != q.end()) {
-      out = std::move(*it);
-      q.erase(it);
-      return true;
-    }
-  }
-  return false;
+  const auto it =
+      std::find_if(queue.begin(), queue.end(),
+                   [group](const auto& t) { return t.group == group; });
+  if (it == queue.end()) return false;
+  out = std::move(*it);
+  queue.erase(it);
+  return true;
 }
 
 }  // namespace
@@ -40,7 +31,7 @@ TaskGroup::~TaskGroup() {
     // Drain like wait(), stealing our own queued tasks, but swallow the
     // exception slot: destructors must not throw.
     ThreadPool::Task task;
-    if (steal_group_task(pool_.queue_, pool_.pinned_, this, task)) {
+    if (steal_group_task(pool_.queue_, this, task)) {
       lock.unlock();
       pool_.run_task(std::move(task));
       lock.lock();
@@ -66,30 +57,12 @@ void TaskGroup::submit(std::function<void()> task) {
   done_.notify_all();
 }
 
-void TaskGroup::submit_pinned(std::size_t worker, std::function<void()> task) {
-  {
-    MutexLock lock(pool_.mutex_);
-    if (pool_.stopping_) {
-      throw std::runtime_error("thread pool: submit after shutdown");
-    }
-    pool_.pinned_[worker % pool_.pinned_.size()].push_back(
-        {this, std::move(task)});
-    ++pending_;
-    ++pool_.in_flight_;
-  }
-  // Every worker checks its own pinned queue on wake, so all must be
-  // woken: notify_one could rouse a worker whose pinned queue is empty,
-  // which would go back to sleep without the target ever waking.
-  pool_.work_available_.notify_all();
-  done_.notify_all();
-}
-
 void TaskGroup::wait() {
   {
     MutexLock lock(pool_.mutex_);
     while (pending_ > 0) {
       ThreadPool::Task task;
-      if (steal_group_task(pool_.queue_, pool_.pinned_, this, task)) {
+      if (steal_group_task(pool_.queue_, this, task)) {
         lock.unlock();
         pool_.run_task(std::move(task));
         lock.lock();
@@ -125,17 +98,9 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  {
-    // Sized before any worker starts and never resized again: workers
-    // hold a queue per index, and TaskGroup waiters iterate the vector.
-    // No concurrency exists yet, but the guard annotation is on the
-    // member, so honour it.
-    MutexLock lock(mutex_);
-    pinned_.resize(threads);
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -184,20 +149,14 @@ void ThreadPool::parallel_for(
 
 void ThreadPool::parallel_for_ranges(
     std::span<const std::size_t> boundaries,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    bool sticky) {
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   if (boundaries.size() < 2) return;
   TaskGroup group(*this);
   for (std::size_t c = 0; c + 1 < boundaries.size(); ++c) {
     const std::size_t begin = boundaries[c];
     const std::size_t end = boundaries[c + 1];
     if (begin >= end) continue;
-    auto task = [&body, begin, end, c] { body(begin, end, c); };
-    if (sticky) {
-      group.submit_pinned(c, std::move(task));
-    } else {
-      group.submit(std::move(task));
-    }
+    group.submit([&body, begin, end, c] { body(begin, end, c); });
   }
   group.wait();
 }
@@ -245,28 +204,18 @@ void ThreadPool::run_task(Task task) {
   task.group->finish_one(std::move(error));
 }
 
-void ThreadPool::worker_loop(std::size_t worker_index) {
+void ThreadPool::worker_loop() {
   for (;;) {
     Task task;
     {
       MutexLock lock(mutex_);
-      auto& mine = pinned_[worker_index];
-      while (!stopping_ && queue_.empty() && mine.empty()) {
-        work_available_.wait(lock);
-      }
-      // Own pinned queue first — that is the whole affinity contract —
-      // then the shared queue. On shutdown, drain both before exiting
-      // (group waiters could also steal the leftovers, but a worker
-      // must never exit with work only it would otherwise run).
-      if (!mine.empty()) {
-        task = std::move(mine.front());
-        mine.pop_front();
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else {
-        return;  // stopping_ and both queues drained
-      }
+      while (!stopping_ && queue_.empty()) work_available_.wait(lock);
+      // On shutdown, drain the queue before exiting (group waiters could
+      // also steal the leftovers, but a worker must never exit with
+      // work only it would otherwise run).
+      if (queue_.empty()) return;  // stopping_ and the queue drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     run_task(std::move(task));
   }

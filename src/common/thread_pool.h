@@ -57,16 +57,6 @@ class TaskGroup {
   /// Throws std::runtime_error if the pool has been shut down.
   void submit(std::function<void()> task);
 
-  /// Enqueues a task preferring a specific worker (`worker` is taken
-  /// modulo the pool size). The target worker drains its pinned queue
-  /// before touching the shared one, so repeated sticky submissions of
-  /// the same index land on the same thread — the NUMA first-touch
-  /// contract of parallel_for_ranges(..., sticky). Affinity is a
-  /// *hint*: group waiters may still steal a pinned task (progress
-  /// under nesting beats placement), so correctness never depends on
-  /// where the task ran. Throws std::runtime_error after shutdown.
-  void submit_pinned(std::size_t worker, std::function<void()> task);
-
   /// Blocks until every task submitted to *this group* has finished.
   /// While waiting, steals queued tasks of this group and runs them on
   /// the calling thread (safe to call from inside a pool worker).
@@ -132,20 +122,9 @@ class ThreadPool {
   /// range_index always names the same [begin, end) for a given
   /// boundary list regardless of pool size. Runs in its own TaskGroup
   /// (nesting-safe, like parallel_for).
-  ///
-  /// With `sticky`, range c is pinned to worker c % size(): every
-  /// sticky fork over the same boundary list sends the same range to
-  /// the same thread. That makes first-touch page placement line up
-  /// with the sweeps — the thread that initializes a coefficient range
-  /// is the thread that gathers over it on every iteration, so a
-  /// multi-socket machine keeps those pages on the sweeping node.
-  /// Stickiness is best-effort (waiters may steal for progress) and
-  /// never affects results: range boundaries and indices are identical
-  /// either way.
   void parallel_for_ranges(std::span<const std::size_t> boundaries,
                            const std::function<void(std::size_t, std::size_t,
-                                                    std::size_t)>& body,
-                           bool sticky = false);
+                                                    std::size_t)>& body);
 
   /// Joins all workers after draining the queue. Subsequent submits
   /// throw. Idempotent; the destructor calls it.
@@ -159,7 +138,7 @@ class ThreadPool {
     std::function<void()> fn;
   };
 
-  void worker_loop(std::size_t worker_index);
+  void worker_loop();
   /// Runs one task outside the lock, then settles it via
   /// TaskGroup::finish_one.
   void run_task(Task task);
@@ -167,10 +146,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   Mutex mutex_{"ThreadPool::mutex_"};
   std::deque<Task> queue_ FR_GUARDED_BY(mutex_);
-  /// One pinned queue per worker (submit_pinned). Each worker drains
-  /// its own pinned queue before the shared one; group waiters may
-  /// steal from any pinned queue so pinning can never deadlock.
-  std::vector<std::deque<Task>> pinned_ FR_GUARDED_BY(mutex_);
   CondVar work_available_;
   CondVar idle_;
   std::size_t in_flight_ FR_GUARDED_BY(mutex_) = 0;  // for wait_idle()

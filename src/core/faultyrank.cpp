@@ -2,32 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/propagation_plan.h"
-#include "core/rank_gather.h"
 
 // The plan kernel and the reference oracle live in this translation
 // unit on purpose, and the whole project compiles with
-// -ffp-contract=off: identical compiler flags plus the canonical lane
-// tree of rank_gather.h are what make the kernels bit-identical
-// (DESIGN.md §9, §14). The AVX2 gathers live in their own -mavx2 TU
-// (faultyrank_simd_avx2.cpp) but implement the very same tree.
+// -ffp-contract=off: identical compiler flags plus the shared 4-lane
+// gather tree are what make the kernels bit-identical (DESIGN.md §9).
 
 namespace faultyrank {
 
 namespace {
 
-/// Runs body(begin, end, chunk) over [0, n), on the pool if provided.
-/// `serial_grain` is FaultyRankConfig::serial_grain: below it, chunking
-/// costs more than the work and the body runs on the calling thread.
+/// Runs body(begin, end, chunk) over [0, n), on the pool if provided
+/// and n reaches kRankSerialGrain; below it the body runs on the calling
+/// thread.
 template <typename Body>
-void run_chunked(ThreadPool* pool, std::size_t n, std::size_t serial_grain,
-                 const Body& body) {
-  if (pool == nullptr || pool->size() <= 1 || n < serial_grain) {
+void run_chunked(ThreadPool* pool, std::size_t n, const Body& body) {
+  if (pool == nullptr || pool->size() <= 1 || n < kRankSerialGrain) {
     if (n > 0) body(0, n, 0);
     return;
   }
@@ -157,66 +151,54 @@ double mean_rank_of(const std::vector<double>& id_rank) {
 }
 
 // ---------------------------------------------------------------------
-// Plan kernel: branch-free coefficient gathers through the canonical
-// lane tree, reductions fused into the sweeps, edge-balanced sticky
-// chunk scheduling. Templated over the arithmetic type (double or
-// float32 mode) and the gather implementation (scalar or AVX2) — the
-// four instantiations differ only in those two axes.
-//
-// When the plan carries a vertex ordering, the whole iteration runs in
-// relabeled id space (adjacency, coefficients, sink lists, reduction
-// blocks all come from the plan in that space); the inverse permutation
-// maps the converged vectors back to original Gids at the end.
+// Plan kernel: branch-free coefficient gathers through the 4-lane tree,
+// reductions fused into the sweeps, edge-balanced chunk scheduling.
 // ---------------------------------------------------------------------
 
-template <typename Real,
-          Real (*Gather)(const Gid*, const Real*, std::uint64_t, const Real*)>
+/// One vertex's gather Σ rank[targets[i]]·coeff[i], accumulated into
+/// four partial sums by relative slot position mod 4 and combined as
+/// (l0 + l2) + (l1 + l3). The reference kernel inlines the same tree,
+/// which is what keeps the two kernels bit-identical. Two provisos, both
+/// enforced by the build: no FMA contraction (rank·coeff must round
+/// before the add — the project compiles with -ffp-contract=off), and
+/// skipped zero-coefficient terms must be exact +0.0 adds, which are
+/// no-ops on the non-negative partial sums these kernels produce.
+double gather(const Gid* targets, const double* coeff, std::uint64_t count,
+              const double* rank) noexcept {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (std::uint64_t i = 0; i < count; ++i) {
+    lanes[i & 3] += rank[targets[i]] * coeff[i];
+  }
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+}
+
 FaultyRankResult run_planned(const UnifiedGraph& graph,
                              const PropagationPlan& plan,
                              const FaultyRankConfig& config,
                              ThreadPool* pool) {
   const std::size_t n = graph.vertex_count();
-  const Csr& forward = plan.forward();
-  const Csr& reverse = plan.reverse();
+  const Csr& forward = graph.forward();
+  const Csr& reverse = graph.reverse();
   const Gid* fwd_targets = forward.targets().data();
   const Gid* rev_targets = reverse.targets().data();
-  const Real* coeff_rev;
-  const Real* coeff_fwd;
-  if constexpr (std::is_same_v<Real, float>) {
-    coeff_rev = plan.coeff_rev_f32().data();
-    coeff_fwd = plan.coeff_fwd_f32().data();
-  } else {
-    coeff_rev = plan.coeff_rev().data();
-    coeff_fwd = plan.coeff_fwd().data();
-  }
+  const double* coeff_rev = plan.coeff_rev().data();
+  const double* coeff_fwd = plan.coeff_fwd().data();
   const std::span<const Gid> fwd_sinks = plan.forward_sinks();
   const std::span<const Gid> rev_sinks = plan.reversed_sinks();
-  const VertexPermutation& perm = plan.permutation();
 
   FaultyRankResult result;
-  // Initial vectors arrive in original Gid space (warm starts
-  // especially); narrow to Real and scatter into plan id space.
-  const RankVectors init = initial_ranks(config, n);
-  std::vector<Real> id_rank(n), prop_rank(n), next(n, Real{0});
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t pv = perm.empty() ? v : perm.new_of_old[v];
-    id_rank[pv] = static_cast<Real>(init.id_rank[v]);
-    prop_rank[pv] = static_cast<Real>(init.prop_rank[v]);
-  }
+  auto [id_rank, prop_rank] = initial_ranks(config, n);
+  std::vector<double> next(n, 0.0);
 
-  const double inv_n_d = 1.0 / static_cast<double>(n);
-  const auto inv_n = static_cast<Real>(inv_n_d);
+  const double inv_n = 1.0 / static_cast<double>(n);
   const std::size_t nb = block_count(n);
-  std::vector<Real> block_l1(nb), block_max(nb), block_sink(nb);
+  std::vector<double> block_l1(nb), block_max(nb), block_sink(nb);
 
   const bool parallel =
-      pool != nullptr && pool->size() > 1 && n >= config.serial_grain;
+      pool != nullptr && pool->size() > 1 && n >= kRankSerialGrain;
   // Chunk boundaries carry ~equal *edge* counts (binary search over the
   // CSR offsets), aligned so no reduction block spans two chunks. Each
   // pass gets its own partition: the two CSRs have different skew.
-  // Sticky submission pins chunk c to worker c every sweep of every
-  // iteration, so each worker re-touches the same rank/coefficient
-  // pages it first-touched at plan build — the NUMA placement story.
   std::vector<std::size_t> rev_bounds, fwd_bounds;
   if (parallel) {
     rev_bounds = partition_by_weight(reverse.offsets(), pool->size(),
@@ -232,22 +214,22 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
           body(0, n, 0);
           return;
         }
-        pool->parallel_for_ranges(bounds, body, /*sticky=*/true);
+        pool->parallel_for_ranges(bounds, body);
       };
 
   // Blockwise sum of values[v] over an ascending sink list — the same
   // grouping as a predicate block sum over all vertices, because the
   // skipped terms are exact zeros.
   const auto sum_sinks = [&](std::span<const Gid> sinks,
-                             const std::vector<Real>& values) {
-    Real total{0};
-    Real acc{0};
+                             const std::vector<double>& values) {
+    double total = 0.0;
+    double acc = 0.0;
     std::size_t block = 0;
     for (const Gid v : sinks) {
       const std::size_t b = v / kRankReductionBlock;
       if (b != block) {
         total += acc;
-        acc = Real{0};
+        acc = 0.0;
         block = b;
       }
       acc += values[v];
@@ -258,21 +240,21 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
   // Sink-share numerators. sink1 (pass-1 sinks' prop mass) is seeded
   // here and thereafter maintained by the fused pass-2 accumulation;
   // sink2 comes out of the fused pass-1 accumulation each iteration.
-  Real sink1_sum = sum_sinks(fwd_sinks, prop_rank);
+  double sink1_sum = sum_sinks(fwd_sinks, prop_rank);
 
   double diff = 0.0;
   std::size_t iteration = 0;
   for (; iteration < config.max_iterations; ++iteration) {
     // ---- Pass 1: id_rank from prop_rank over G (pull via G_R), with
     // the diff and next-pass sink reductions fused into the sweep. ----
-    const Real sink_share = sink1_sum * inv_n;
+    const double sink_share = sink1_sum * inv_n;
     run_pass(rev_bounds, [&](std::size_t begin, std::size_t end,
                              std::size_t) {
       auto sink_pos = std::lower_bound(rev_sinks.begin(), rev_sinks.end(),
                                        static_cast<Gid>(begin));
-      Real l1{0};
-      Real max_delta{0};
-      Real sink_acc{0};
+      double l1 = 0.0;
+      double max_delta = 0.0;
+      double sink_acc = 0.0;
       std::size_t block = begin / kRankReductionBlock;
       for (std::size_t v = begin; v < end; ++v) {
         const std::size_t b = v / kRankReductionBlock;
@@ -280,16 +262,16 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
           block_l1[block] = l1;
           block_max[block] = max_delta;
           block_sink[block] = sink_acc;
-          l1 = max_delta = sink_acc = Real{0};
+          l1 = max_delta = sink_acc = 0.0;
           block = b;
         }
         const auto gv = static_cast<Gid>(v);
         const std::uint64_t s0 = reverse.edges_begin(gv);
-        const Real acc =
-            sink_share + Gather(rev_targets + s0, coeff_rev + s0,
+        const double acc =
+            sink_share + gather(rev_targets + s0, coeff_rev + s0,
                                 reverse.edges_end(gv) - s0, prop_rank.data());
         next[v] = acc;
-        const Real delta = std::abs(acc - id_rank[v]);
+        const double delta = std::abs(acc - id_rank[v]);
         l1 += delta;
         max_delta = std::max(max_delta, delta);
         if (sink_pos != rev_sinks.end() && *sink_pos == gv) {
@@ -302,39 +284,38 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
       block_sink[block] = sink_acc;
     });
 
-    Real diff_l1{0};
-    Real diff_max{0};
-    Real sink2_sum{0};
+    double diff_l1 = 0.0;
+    double diff_max = 0.0;
+    double sink2_sum = 0.0;
     for (std::size_t b = 0; b < nb; ++b) {
       diff_l1 += block_l1[b];
       diff_max = std::max(diff_max, block_max[b]);
       sink2_sum += block_sink[b];
     }
-    diff = scale_diff(config, static_cast<double>(diff_l1),
-                      static_cast<double>(diff_max), inv_n_d);
+    diff = scale_diff(config, diff_l1, diff_max, inv_n);
     id_rank.swap(next);
 
     // ---- Pass 2: prop_rank from id_rank over G_R (pull via G), with
     // the next pass-1 sink reduction fused into the sweep. ----
-    const Real sink_share_reversed = sink2_sum * inv_n;
+    const double sink_share_reversed = sink2_sum * inv_n;
     run_pass(fwd_bounds, [&](std::size_t begin, std::size_t end,
                              std::size_t) {
       auto sink_pos = std::lower_bound(fwd_sinks.begin(), fwd_sinks.end(),
                                        static_cast<Gid>(begin));
-      Real sink_acc{0};
+      double sink_acc = 0.0;
       std::size_t block = begin / kRankReductionBlock;
       for (std::size_t v = begin; v < end; ++v) {
         const std::size_t b = v / kRankReductionBlock;
         if (b != block) {
           block_sink[block] = sink_acc;
-          sink_acc = Real{0};
+          sink_acc = 0.0;
           block = b;
         }
         const auto gv = static_cast<Gid>(v);
         const std::uint64_t s0 = forward.edges_begin(gv);
-        const Real acc = sink_share_reversed +
-                         Gather(fwd_targets + s0, coeff_fwd + s0,
-                                forward.edges_end(gv) - s0, id_rank.data());
+        const double acc = sink_share_reversed +
+                           gather(fwd_targets + s0, coeff_fwd + s0,
+                                  forward.edges_end(gv) - s0, id_rank.data());
         next[v] = acc;
         if (sink_pos != fwd_sinks.end() && *sink_pos == gv) {
           sink_acc += acc;
@@ -343,7 +324,7 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
       }
       block_sink[block] = sink_acc;
     });
-    sink1_sum = Real{0};
+    sink1_sum = 0.0;
     for (std::size_t b = 0; b < nb; ++b) sink1_sum += block_sink[b];
     prop_rank.swap(next);
 
@@ -360,8 +341,8 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
     // (the reversed-sink share is global and excluded by construction —
     // those slots carry coefficient 0). Plain sequential accumulation,
     // exactly like the reference kernel's decomposition pass.
-    std::vector<std::vector<Real>> by_kind(kEdgeKindCount,
-                                           std::vector<Real>(n, Real{0}));
+    result.prop_rank_by_kind.assign(kEdgeKindCount,
+                                    std::vector<double>(n, 0.0));
     run_pass(fwd_bounds,
              [&](std::size_t begin, std::size_t end, std::size_t) {
                for (std::size_t v = begin; v < end; ++v) {
@@ -371,84 +352,19 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
                       slot < slots_end; ++slot) {
                    const auto kind =
                        static_cast<std::size_t>(forward.kind(slot));
-                   by_kind[kind][v] +=
+                   result.prop_rank_by_kind[kind][v] +=
                        id_rank[forward.target(slot)] * coeff_fwd[slot];
                  }
                }
              });
-    result.prop_rank_by_kind.assign(kEdgeKindCount,
-                                    std::vector<double>(n, 0.0));
-    for (std::size_t k = 0; k < kEdgeKindCount; ++k) {
-      for (std::size_t v = 0; v < n; ++v) {
-        const std::size_t old = perm.empty() ? v : perm.old_of_new[v];
-        result.prop_rank_by_kind[k][old] =
-            static_cast<double>(by_kind[k][v]);
-      }
-    }
   }
 
-  // Mean over plan id space — for the cross-kernel goldens this must be
-  // the same summation order as the reference kernel running on the
-  // relabeled graph.
-  double total_mass = 0.0;
-  for (std::size_t v = 0; v < n; ++v) {
-    total_mass += static_cast<double>(id_rank[v]);
-  }
-  result.mean_rank =
-      n == 0 ? 1.0 : total_mass / static_cast<double>(n);
-
-  // Widen and report in original Gid space.
-  result.id_rank.resize(n);
-  result.prop_rank.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t old = perm.empty() ? v : perm.old_of_new[v];
-    result.id_rank[old] = static_cast<double>(id_rank[v]);
-    result.prop_rank[old] = static_cast<double>(prop_rank[v]);
-  }
+  result.mean_rank = mean_rank_of(id_rank);
+  result.id_rank = std::move(id_rank);
+  result.prop_rank = std::move(prop_rank);
   result.iterations = iteration;
   result.final_diff = diff;
   return result;
-}
-
-/// True when this invocation may take the AVX2 path: compiled in,
-/// allowed by the config, supported by the CPU, and the vertex ids fit
-/// the gather instruction's signed-32-bit indices.
-bool simd_usable(const FaultyRankConfig& config, std::size_t n) {
-#if defined(FAULTYRANK_SIMD)
-  return config.use_simd &&
-         n <= static_cast<std::size_t>(
-                  std::numeric_limits<std::int32_t>::max()) &&
-         detail::cpu_supports_avx2();
-#else
-  (void)config;
-  (void)n;
-  return false;
-#endif
-}
-
-FaultyRankResult dispatch_planned(const UnifiedGraph& graph,
-                                  const PropagationPlan& plan,
-                                  const FaultyRankConfig& config,
-                                  ThreadPool* pool) {
-  const bool simd = simd_usable(config, graph.vertex_count());
-  if (plan.options().float32) {
-#if defined(FAULTYRANK_SIMD)
-    if (simd) {
-      return run_planned<float, detail::gather_avx2_f32>(graph, plan, config,
-                                                         pool);
-    }
-#endif
-    return run_planned<float, detail::gather_scalar<float>>(graph, plan,
-                                                            config, pool);
-  }
-#if defined(FAULTYRANK_SIMD)
-  if (simd) {
-    return run_planned<double, detail::gather_avx2_f64>(graph, plan, config,
-                                                        pool);
-  }
-#endif
-  return run_planned<double, detail::gather_scalar<double>>(graph, plan,
-                                                            config, pool);
 }
 
 }  // namespace
@@ -464,9 +380,8 @@ FaultyRankResult run_faultyrank(const UnifiedGraph& graph,
     return result;
   }
   const PropagationPlan plan =
-      PropagationPlan::build(graph, config.unpaired_weight, pool,
-                             {config.ordering, config.float32});
-  return dispatch_planned(graph, plan, config, pool);
+      PropagationPlan::build(graph, config.unpaired_weight, pool);
+  return run_planned(graph, plan, config, pool);
 }
 
 FaultyRankResult run_faultyrank(const UnifiedGraph& graph,
@@ -474,11 +389,10 @@ FaultyRankResult run_faultyrank(const UnifiedGraph& graph,
                                 const FaultyRankConfig& config,
                                 ThreadPool* pool) {
   validate_config(config);
-  if (!plan.matches(graph, config.unpaired_weight,
-                    {config.ordering, config.float32})) {
+  if (!plan.matches(graph, config.unpaired_weight)) {
     throw std::invalid_argument(
-        "faultyrank: plan was built from a different graph, "
-        "unpaired_weight, ordering, or precision");
+        "faultyrank: plan was built from a different graph or "
+        "unpaired_weight");
   }
   if (graph.vertex_count() == 0) {
     FaultyRankResult result;
@@ -486,7 +400,7 @@ FaultyRankResult run_faultyrank(const UnifiedGraph& graph,
     result.converged = true;
     return result;
   }
-  return dispatch_planned(graph, plan, config, pool);
+  return run_planned(graph, plan, config, pool);
 }
 
 FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
@@ -510,7 +424,7 @@ FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
   // the original edge is paired (Fig. 4). Derived in parallel — the
   // expression must stay textually identical to PropagationPlan::build.
   std::vector<double> reversed_weighted_degree(n);
-  run_chunked(pool, n, config.serial_grain,
+  run_chunked(pool, n,
               [&](std::size_t begin, std::size_t end, std::size_t) {
                 for (std::size_t v = begin; v < end; ++v) {
                   const auto gv = static_cast<Gid>(v);
@@ -542,10 +456,10 @@ FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
         inv_n;
 
     // Per-vertex gathers accumulate through the same 4-lane tree as the
-    // plan kernel's gather_scalar/gather_avx2 — lane index is relative
-    // slot position mod 4 — so the two kernels stay bit-identical.
+    // plan kernel's gather() — lane index is relative slot position
+    // mod 4 — so the two kernels stay bit-identical.
     run_chunked(
-        pool, n, config.serial_grain,
+        pool, n,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           for (std::size_t v = begin; v < end; ++v) {
             const auto gv = static_cast<Gid>(v);
@@ -592,7 +506,7 @@ FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
         inv_n;
 
     run_chunked(
-        pool, n, config.serial_grain,
+        pool, n,
         [&](std::size_t begin, std::size_t end, std::size_t) {
           for (std::size_t v = begin; v < end; ++v) {
             const auto gv = static_cast<Gid>(v);
@@ -631,7 +545,7 @@ FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
     // (the reversed-sink share is global and excluded by construction).
     result.prop_rank_by_kind.assign(kEdgeKindCount,
                                     std::vector<double>(n, 0.0));
-    run_chunked(pool, n, config.serial_grain,
+    run_chunked(pool, n,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
                   for (std::size_t v = begin; v < end; ++v) {
                     const auto gv = static_cast<Gid>(v);

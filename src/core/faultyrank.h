@@ -30,43 +30,35 @@
 // Two kernels share that pull formulation (DESIGN.md §9, §14):
 //   run_faultyrank           — the production kernel: precomputed
 //                              PropagationPlan coefficients (branch- and
-//                              division-free gathers, optionally AVX2
-//                              and/or float32), sink-share and diff
-//                              reductions fused into the gather sweeps
-//                              (two full sweeps per iteration, not
-//                              five), edge-balanced sticky chunk
-//                              scheduling, optional locality reordering.
+//                              division-free gathers), sink-share and
+//                              diff reductions fused into the gather
+//                              sweeps (two full sweeps per iteration,
+//                              not five), edge-balanced chunk
+//                              scheduling.
 //   run_faultyrank_reference — the naive unfused kernel, kept as the
 //                              golden oracle and benchmark baseline; it
 //                              pays the per-edge division, branch, and
 //                              paired() load every iteration.
 // Every reduction in both kernels is grouped into fixed
 // kRankReductionBlock-vertex blocks combined in block order, and every
-// per-vertex gather uses the canonical lane tree of rank_gather.h, so
-// for a given vertex ordering the kernels produce bit-identical
-// float64 results at ANY pool size, with or without SIMD — stronger
-// than the seed's fixed-thread-count guarantee. Bit-determinism is
-// *per ordering*: a reordered run is bit-identical to the reference
-// kernel on the relabeled graph (the cross-kernel tests check exactly
-// that), not to the kNone run, whose sums group differently.
+// per-vertex gather accumulates through the same 4-lane tree, so the
+// kernels produce bit-identical float64 results at ANY pool size —
+// stronger than the seed's fixed-thread-count guarantee.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "graph/reorder.h"
 #include "graph/unified_graph.h"
 
 namespace faultyrank {
 
 class PropagationPlan;
 
-/// Default vertex count below which the kernel ignores the pool and
-/// runs on the calling thread — forking chunks costs more than the
-/// work. FaultyRankConfig::serial_grain overrides it (the ablation
-/// benches sweep it); 0 means "always use the pool".
-inline constexpr std::size_t kDefaultSerialGrain = 2048;
+/// Vertex count below which both kernels ignore the pool and run on the
+/// calling thread — forking chunks costs more than the work.
+inline constexpr std::size_t kRankSerialGrain = 2048;
 
 /// Fixed reduction-block width (vertices). Every sum reduction in both
 /// kernels is computed as per-block partial sums combined in ascending
@@ -105,29 +97,12 @@ struct FaultyRankConfig {
   /// from the previous fixpoint than from the uniform initialization.
   const std::vector<double>* initial_id_ranks = nullptr;
   const std::vector<double>* initial_prop_ranks = nullptr;
-  /// Serial-fallback grain: with fewer vertices than this the kernel
-  /// skips the pool entirely (see kDefaultSerialGrain).
-  std::size_t serial_grain = kDefaultSerialGrain;
   /// Paper §VIII future work: additionally decompose each vertex's
   /// property credibility per property kind (DIRENT / LinkEA / LOVEA /
   /// ObjLinkEA), so one corrupted extended attribute can be told apart
   /// from its healthy siblings on the same object. Fills
   /// FaultyRankResult::prop_rank_by_kind from the converged id ranks.
   bool separate_properties = false;
-  /// Locality relabeling the kernel sweeps under (DESIGN.md §14). The
-  /// plan owns the permuted adjacency; results are always reported in
-  /// original Gid space. Changes which fixpoint bits you get (summation
-  /// order follows the ordering) but not the mathematics.
-  VertexOrdering ordering = VertexOrdering::kNone;
-  /// Run the plan kernel with float32 coefficients and rank vectors:
-  /// half the plan bytes and half the sweep traffic, for a measured
-  /// (benchmarked) L∞ deviation from the float64 oracle. Results are
-  /// widened back to double in FaultyRankResult.
-  bool float32 = false;
-  /// Permit the AVX2 gather sweeps when compiled in (FAULTYRANK_SIMD)
-  /// and supported by the CPU. Bit-identical to the scalar path either
-  /// way; exists so benchmarks can isolate the SIMD contribution.
-  bool use_simd = true;
 };
 
 /// Number of distinct property kinds tracked by the per-kind split.

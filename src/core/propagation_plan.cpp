@@ -23,35 +23,17 @@ void for_range(ThreadPool* pool, std::uint64_t n, const Body& body) {
                      });
 }
 
-/// Fills a slot-aligned coefficient array, Real = float or double;
-/// value(source, slot) is always computed in double and rounded once.
-/// The parallel path partitions vertices by edge weight aligned to
-/// kRankReductionBlock — the exact partition the rank kernel derives
-/// for its sweeps at equal pool size — and pins chunk c to worker c
-/// (sticky), so first-touch places each coefficient page on the worker
-/// that will gather from it every iteration.
-template <typename Real, typename PerSlot>
-AlignedBuffer<Real> fill_coefficients(ThreadPool* pool, const Csr& csr,
+/// Fills a slot-aligned coefficient array: out[slot] = value(slot). A
+/// split over slots is already edge-balanced.
+template <typename PerSlot>
+std::vector<double> fill_coefficients(ThreadPool* pool, std::uint64_t slots,
                                       const PerSlot& value) {
-  AlignedBuffer<Real> out(csr.edge_count());
-  const auto body = [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t v = begin; v < end; ++v) {
-      const auto gv = static_cast<Gid>(v);
-      const std::uint64_t slots_end = csr.edges_end(gv);
-      for (std::uint64_t slot = csr.edges_begin(gv); slot < slots_end;
-           ++slot) {
-        out[slot] = static_cast<Real>(value(gv, slot));
-      }
+  std::vector<double> out(slots);
+  for_range(pool, slots, [&](std::uint64_t begin, std::uint64_t end) {
+    for (std::uint64_t slot = begin; slot < end; ++slot) {
+      out[slot] = value(slot);
     }
-  };
-  const std::size_t n = csr.vertex_count();
-  if (pool == nullptr || pool->size() <= 1 || csr.edge_count() < 4096) {
-    if (n > 0) body(0, n, 0);
-    return out;
-  }
-  const auto bounds =
-      partition_by_weight(csr.offsets(), pool->size(), kRankReductionBlock);
-  pool->parallel_for_ranges(bounds, body, /*sticky=*/true);
+  });
   return out;
 }
 
@@ -59,8 +41,7 @@ AlignedBuffer<Real> fill_coefficients(ThreadPool* pool, const Csr& csr,
 
 PropagationPlan PropagationPlan::build(const UnifiedGraph& graph,
                                        double unpaired_weight,
-                                       ThreadPool* pool,
-                                       const PlanOptions& options) {
+                                       ThreadPool* pool) {
   if (unpaired_weight < 0.0 || unpaired_weight > 1.0) {
     throw std::invalid_argument(
         "propagation plan: unpaired_weight must be within [0, 1]");
@@ -69,67 +50,42 @@ PropagationPlan PropagationPlan::build(const UnifiedGraph& graph,
   PropagationPlan plan;
   plan.graph_ = &graph;
   plan.unpaired_weight_ = unpaired_weight;
-  plan.options_ = options;
 
   const std::size_t n = graph.vertex_count();
-  plan.permutation_ = compute_ordering(graph, options.ordering);
-  const VertexPermutation& perm = plan.permutation_;
-  if (!perm.empty()) {
-    // Same build path as UnifiedGraph::from_edges takes — relabeling is
-    // a pure renaming, so golden tests can rebuild the relabeled graph
-    // independently and expect bit-equal sweeps.
-    plan.forward_ = Csr::build(n, relabel_edges(graph.forward(), perm));
-    plan.reverse_ = plan.forward_.reversed();
-  }
-  const Csr& forward = plan.forward();
-  const Csr& reverse = plan.reverse();
+  const Csr& forward = graph.forward();
+  const Csr& reverse = graph.reverse();
 
-  // Weighted out-degree of each vertex in the *reversed* graph (Fig. 4),
-  // in plan-id space — the expression must stay textually identical to
-  // the reference kernel's so coefficients reproduce its arithmetic
-  // bit-for-bit (degrees are per-vertex, hence relabel-invariant).
+  // Weighted out-degree of each vertex in the *reversed* graph (Fig. 4)
+  // — the expression must stay textually identical to the reference
+  // kernel's so coefficients reproduce its arithmetic bit-for-bit.
   std::vector<double> reversed_weighted_degree(n);
   for_range(pool, n, [&](std::uint64_t begin, std::uint64_t end) {
     for (std::uint64_t v = begin; v < end; ++v) {
-      const Gid old =
-          perm.empty() ? static_cast<Gid>(v) : perm.old_of_new[v];
+      const auto gv = static_cast<Gid>(v);
       reversed_weighted_degree[v] =
-          static_cast<double>(graph.paired_in_degree(old)) +
-          unpaired_weight * static_cast<double>(graph.unpaired_in_degree(old));
+          static_cast<double>(graph.paired_in_degree(gv)) +
+          unpaired_weight * static_cast<double>(graph.unpaired_in_degree(gv));
     }
   });
 
   // Pass-1 coefficients: a reverse edge v←u carries prop_rank[u] scaled
   // by 1/outdeg(u). outdeg(u) ≥ 1 by construction (u owns this edge).
-  const auto rev_value = [&](Gid, std::uint64_t slot) {
-    return 1.0 / static_cast<double>(forward.out_degree(reverse.target(slot)));
-  };
+  plan.coeff_rev_ =
+      fill_coefficients(pool, reverse.edge_count(), [&](std::uint64_t slot) {
+        return 1.0 /
+               static_cast<double>(forward.out_degree(reverse.target(slot)));
+      });
   // Pass-2 coefficients: a forward edge v→t is a reversed edge t→v
   // carrying id_rank[t] scaled by weight/W(t); reversed sinks (W = 0)
-  // get coefficient 0 so the kernel needs no branch. Pairing of v→t is
-  // "does t→v exist"; under a relabel the graph's slot-aligned paired()
-  // bits no longer line up, so the relabeled CSR answers the same
-  // question by membership test (exactly how finalize() computed the
-  // bits in the first place).
-  const auto fwd_value = [&](Gid v, std::uint64_t slot) {
-    const double denom = reversed_weighted_degree[forward.target(slot)];
-    if (denom == 0.0) return 0.0;
-    const bool paired = perm.empty()
-                            ? graph.paired(slot)
-                            : forward.has_edge(forward.target(slot), v);
-    return (paired ? 1.0 : unpaired_weight) / denom;
-  };
+  // get coefficient 0 so the kernel needs no branch.
+  plan.coeff_fwd_ =
+      fill_coefficients(pool, forward.edge_count(), [&](std::uint64_t slot) {
+        const double denom = reversed_weighted_degree[forward.target(slot)];
+        if (denom == 0.0) return 0.0;
+        return (graph.paired(slot) ? 1.0 : unpaired_weight) / denom;
+      });
 
-  if (options.float32) {
-    plan.coeff_rev_f32_ = fill_coefficients<float>(pool, reverse, rev_value);
-    plan.coeff_fwd_f32_ = fill_coefficients<float>(pool, forward, fwd_value);
-  } else {
-    plan.coeff_rev_ = fill_coefficients<double>(pool, reverse, rev_value);
-    plan.coeff_fwd_ = fill_coefficients<double>(pool, forward, fwd_value);
-  }
-
-  // Sink lists, ascending in plan-id space (serial: one cheap pass,
-  // done once per plan).
+  // Sink lists, ascending (serial: one cheap pass, done once per plan).
   for (std::size_t v = 0; v < n; ++v) {
     const auto gv = static_cast<Gid>(v);
     if (forward.out_degree(gv) == 0) plan.forward_sinks_.push_back(gv);

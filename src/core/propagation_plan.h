@@ -1,5 +1,5 @@
 // PropagationPlan — precomputed SpMV form of the FaultyRank iteration
-// (DESIGN.md §9, §14).
+// (DESIGN.md §9).
 //
 // The naive kernel pays, per edge per iteration, a double division, a
 // paired() byte load, and a branch; and per iteration, five full-vertex
@@ -23,27 +23,9 @@
 // of predicate-sweeping every vertex, and the rank kernel can fuse them
 // into its gather chunks.
 //
-// Two further build-time options shape the memory layout (§14):
-//
-//   ordering — a locality permutation (graph/reorder.h). The plan
-//     relabels the graph through it and owns the relabeled CSR pair;
-//     forward()/reverse() hand the kernel whichever adjacency it should
-//     sweep. Coefficient *values* are bitwise relabel-invariant (they
-//     are pure functions of degrees and pairing, both preserved by
-//     renaming); only their slot positions move. Sink lists live in
-//     new-id space. The kernel maps results back through permutation().
-//
-//   float32 — coefficients (and the kernel's rank vectors) in float
-//     instead of double, halving the plan's dominant arrays and the
-//     per-iteration memory traffic. Each coefficient is computed in
-//     double and rounded once. The kernel measures the resulting L∞
-//     rank error against the float64 oracle in the benchmarks.
-//
-// Coefficient arrays live in 64-byte-aligned, first-touch-friendly
-// AlignedBuffers: with a pool, each edge-balanced chunk is filled by
-// the worker that parallel_for_ranges(sticky) will later hand that same
-// chunk to every sweep, so on NUMA machines the pages land on the node
-// that reads them.
+// The coefficients sit in the graph's own (GID) slot order, in float64,
+// so the kernel sweeps the graph's CSRs directly. DESIGN.md §14 records
+// the layouts measured against this one and why none was kept.
 //
 // The plan borrows the graph: the UnifiedGraph must outlive it and stay
 // at the same address (run_faultyrank verifies identity via matches()).
@@ -53,21 +35,10 @@
 #include <span>
 #include <vector>
 
-#include "common/aligned_buffer.h"
 #include "common/thread_pool.h"
-#include "graph/reorder.h"
 #include "graph/unified_graph.h"
 
 namespace faultyrank {
-
-/// Build-time layout options. A plan only matches() a config that asks
-/// for the same layout.
-struct PlanOptions {
-  VertexOrdering ordering = VertexOrdering::kNone;
-  bool float32 = false;
-
-  friend bool operator==(const PlanOptions&, const PlanOptions&) = default;
-};
 
 class PropagationPlan {
  public:
@@ -77,43 +48,24 @@ class PropagationPlan {
   /// Throws std::invalid_argument unless unpaired_weight ∈ [0, 1].
   [[nodiscard]] static PropagationPlan build(const UnifiedGraph& graph,
                                              double unpaired_weight,
-                                             ThreadPool* pool = nullptr,
-                                             const PlanOptions& options = {});
+                                             ThreadPool* pool = nullptr);
 
-  /// The adjacency the kernel must sweep: the graph's own CSRs under
-  /// the identity ordering, the plan-owned relabeled pair otherwise.
-  [[nodiscard]] const Csr& forward() const noexcept {
-    return permutation_.empty() ? graph_->forward() : forward_;
-  }
-  [[nodiscard]] const Csr& reverse() const noexcept {
-    return permutation_.empty() ? graph_->reverse() : reverse_;
-  }
-
-  /// Reverse-slot-aligned pass-1 coefficients (empty in float32 mode).
+  /// Reverse-slot-aligned pass-1 coefficients.
   [[nodiscard]] std::span<const double> coeff_rev() const noexcept {
-    return coeff_rev_.span();
+    return coeff_rev_;
   }
   /// Forward-slot-aligned pass-2 coefficients (0 for reversed-sink
-  /// targets; empty in float32 mode).
+  /// targets).
   [[nodiscard]] std::span<const double> coeff_fwd() const noexcept {
-    return coeff_fwd_.span();
-  }
-  /// float32-mode counterparts (empty in float64 mode).
-  [[nodiscard]] std::span<const float> coeff_rev_f32() const noexcept {
-    return coeff_rev_f32_.span();
-  }
-  [[nodiscard]] std::span<const float> coeff_fwd_f32() const noexcept {
-    return coeff_fwd_f32_.span();
+    return coeff_fwd_;
   }
 
-  /// Vertices with no out-edge in G (pass-1 sinks), ascending — in the
-  /// plan's (possibly relabeled) id space, like everything the kernel
-  /// sweeps.
+  /// Vertices with no out-edge in G (pass-1 sinks), ascending.
   [[nodiscard]] std::span<const Gid> forward_sinks() const noexcept {
     return forward_sinks_;
   }
   /// Vertices with zero reversed weighted degree (pass-2 sinks),
-  /// ascending, plan id space.
+  /// ascending.
   [[nodiscard]] std::span<const Gid> reversed_sinks() const noexcept {
     return reversed_sinks_;
   }
@@ -121,40 +73,20 @@ class PropagationPlan {
   [[nodiscard]] double unpaired_weight() const noexcept {
     return unpaired_weight_;
   }
-  [[nodiscard]] const PlanOptions& options() const noexcept {
-    return options_;
-  }
-  /// Empty under VertexOrdering::kNone.
-  [[nodiscard]] const VertexPermutation& permutation() const noexcept {
-    return permutation_;
-  }
 
   /// True iff the plan was built from exactly this graph object with
-  /// exactly this weight — the kernel refuses stale plans. The
-  /// two-argument form ignores layout; kernels use the full form.
+  /// exactly this weight — the kernel refuses stale plans.
   [[nodiscard]] bool matches(const UnifiedGraph& graph,
                              double unpaired_weight) const noexcept {
     return graph_ == &graph && unpaired_weight_ == unpaired_weight;
   }
-  [[nodiscard]] bool matches(const UnifiedGraph& graph, double unpaired_weight,
-                             const PlanOptions& options) const noexcept {
-    return matches(graph, unpaired_weight) && options_ == options;
-  }
 
   /// Heap footprint of the plan (reported next to UnifiedGraph::bytes
-  /// in the perf tables): coefficients, sink lists, and — when a
-  /// non-identity ordering is active — the permutation pair and the
-  /// owned relabeled CSRs.
+  /// in the perf tables): coefficients and sink lists.
   [[nodiscard]] std::uint64_t bytes() const noexcept {
-    std::uint64_t total = coeff_rev_.bytes() + coeff_fwd_.bytes() +
-                          coeff_rev_f32_.bytes() + coeff_fwd_f32_.bytes() +
-                          forward_sinks_.capacity() * sizeof(Gid) +
-                          reversed_sinks_.capacity() * sizeof(Gid) +
-                          permutation_.bytes();
-    if (!permutation_.empty()) {
-      total += forward_.bytes() + reverse_.bytes();
-    }
-    return total;
+    return (coeff_rev_.capacity() + coeff_fwd_.capacity()) * sizeof(double) +
+           (forward_sinks_.capacity() + reversed_sinks_.capacity()) *
+               sizeof(Gid);
   }
 
  private:
@@ -162,16 +94,8 @@ class PropagationPlan {
 
   const UnifiedGraph* graph_ = nullptr;
   double unpaired_weight_ = 0.1;
-  PlanOptions options_;
-  VertexPermutation permutation_;
-  // Relabeled adjacency, built via the same Csr::build path as
-  // UnifiedGraph::from_edges; empty (and unused) under kNone.
-  Csr forward_;
-  Csr reverse_;
-  AlignedBuffer<double> coeff_rev_;
-  AlignedBuffer<double> coeff_fwd_;
-  AlignedBuffer<float> coeff_rev_f32_;
-  AlignedBuffer<float> coeff_fwd_f32_;
+  std::vector<double> coeff_rev_;
+  std::vector<double> coeff_fwd_;
   std::vector<Gid> forward_sinks_;
   std::vector<Gid> reversed_sinks_;
 };

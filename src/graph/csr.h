@@ -67,9 +67,9 @@ class Csr {
   [[nodiscard]] Gid target(std::uint64_t slot) const noexcept {
     return targets_[slot];
   }
-  /// The raw slot→target array. The SIMD rank kernels feed four/eight
-  /// consecutive entries straight into a vector gather, so they need
-  /// the contiguous storage, not the per-slot accessor.
+  /// The raw slot→target array. The planned rank kernel gathers over a
+  /// vertex's slots through a plain pointer, so it needs the contiguous
+  /// storage, not the per-slot accessor.
   [[nodiscard]] std::span<const Gid> targets() const noexcept {
     return targets_;
   }

@@ -1,188 +1,36 @@
 #include "graph/unified_graph.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/thread_pool.h"
 
 namespace faultyrank {
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Parallel deterministic FID interning.
-//
-// The serial path interns FIDs in a single global first-seen order over
-// the sequence [all partials' vertices] ++ [all partials' edge
-// endpoints, src then dst]. To parallelize without changing a single
-// GID, the FID space is split into hash shards: every shard thread
-// walks the same global sequence, keeps only the FIDs it owns, and
-// records each unique FID with the global position of its first
-// occurrence. Shard outputs are therefore naturally sorted by that
-// position, and a k-way merge reassembles the exact serial intern
-// order, from which GIDs are assigned.
-// ---------------------------------------------------------------------------
-
-struct ShardEntry {
-  Fid fid;
-  std::uint64_t first_pos = 0;
-  Gid gid = 0;
-  ObjectKind kind = ObjectKind::kPhantom;
-  std::uint8_t scan_count = 0;
-};
-
-struct Shard {
-  std::unordered_map<Fid, std::uint32_t, FidHash> index;  // fid → entries idx
-  std::vector<ShardEntry> entries;  // first-seen order == sorted by first_pos
-};
-
-/// Walks the global intern sequence and fills one shard. Mirrors
-/// VertexTable::intern_scanned / intern_referenced semantics exactly:
-/// the kind of the last scanned occurrence wins, scan counts saturate
-/// at 255, edge endpoints create phantoms.
-void fill_shard(std::span<const PartialGraph> partials,
-                std::uint64_t vertex_total, std::size_t shard_id,
-                std::size_t shard_count, Shard& shard) {
-  const auto owns = [&](const Fid& fid) {
-    return FidHash{}(fid) % shard_count == shard_id;
-  };
-  const auto intern = [&](const Fid& fid, std::uint64_t pos, bool scanned,
-                          ObjectKind kind) {
-    if (auto it = shard.index.find(fid); it != shard.index.end()) {
-      ShardEntry& entry = shard.entries[it->second];
-      if (scanned) {
-        entry.kind = kind;
-        if (entry.scan_count < 255) ++entry.scan_count;
-      }
-      return;
-    }
-    shard.index.emplace(fid, static_cast<std::uint32_t>(shard.entries.size()));
-    shard.entries.push_back({fid, pos, 0, scanned ? kind : ObjectKind::kPhantom,
-                             static_cast<std::uint8_t>(scanned ? 1 : 0)});
-  };
-
-  std::uint64_t pos = 0;
-  for (const PartialGraph& partial : partials) {
-    for (const VertexRecord& vertex : partial.vertices) {
-      if (owns(vertex.fid)) intern(vertex.fid, pos, true, vertex.kind);
-      ++pos;
-    }
-  }
-  pos = vertex_total;
-  for (const PartialGraph& partial : partials) {
-    for (const FidEdge& edge : partial.edges) {
-      if (owns(edge.src)) intern(edge.src, pos, false, ObjectKind::kPhantom);
-      ++pos;
-      if (owns(edge.dst)) intern(edge.dst, pos, false, ObjectKind::kPhantom);
-      ++pos;
-    }
-  }
-}
-
-}  // namespace
 
 UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
                                      ThreadPool* pool) {
   UnifiedGraph g;
   std::uint64_t total_vertices = 0;
   std::uint64_t total_edges = 0;
-  // Prefix offsets let parallel stages address the flattened edge
-  // sequence without copying it.
-  std::vector<std::uint64_t> edge_offset(partials.size() + 1, 0);
-  for (std::size_t p = 0; p < partials.size(); ++p) {
-    total_vertices += partials[p].vertices.size();
-    edge_offset[p + 1] = edge_offset[p] + partials[p].edges.size();
-  }
-  total_edges = edge_offset[partials.size()];
-
-  if (pool == nullptr || pool->size() <= 1) {
-    // Serial reference path: the parallel path below must reproduce its
-    // GIDs, kinds, and scan counts bit for bit.
-    g.vertices_.reserve(total_vertices);
-    for (const auto& partial : partials) {
-      for (const auto& vertex : partial.vertices) {
-        g.vertices_.intern_scanned(vertex.fid, vertex.kind);
-      }
-    }
-    std::vector<GidEdge> edges;
-    edges.reserve(total_edges);
-    for (const auto& partial : partials) {
-      for (const auto& e : partial.edges) {
-        const Gid src = g.vertices_.intern_referenced(e.src);
-        const Gid dst = g.vertices_.intern_referenced(e.dst);
-        edges.push_back({src, dst, e.kind});
-      }
-    }
-    g.finalize(std::move(edges), nullptr);
-    return g;
+  for (const auto& partial : partials) {
+    total_vertices += partial.vertices.size();
+    total_edges += partial.edges.size();
   }
 
-  // --- Phase 1: shard-parallel interning. ---
-  const std::size_t shard_count = pool->size();
-  std::vector<Shard> shards(shard_count);
-  {
-    TaskGroup group(*pool);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      group.submit([&, s] {
-        shards[s].index.reserve(total_vertices / shard_count + 16);
-        fill_shard(partials, total_vertices, s, shard_count, shards[s]);
-      });
-    }
-    group.wait();
-  }
-
-  // --- Phase 2: deterministic merge — k-way by global first-seen
-  // position (positions are unique, so the order is total). ---
-  std::size_t unique_count = 0;
-  for (const Shard& shard : shards) unique_count += shard.entries.size();
-  std::vector<Fid> fids(unique_count);
-  std::vector<ObjectKind> kinds(unique_count);
-  std::vector<std::uint8_t> scanned(unique_count);
-  {
-    std::vector<std::size_t> heads(shard_count, 0);
-    for (std::size_t gid = 0; gid < unique_count; ++gid) {
-      std::size_t best = shard_count;
-      std::uint64_t best_pos = 0;
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        if (heads[s] >= shards[s].entries.size()) continue;
-        const std::uint64_t pos = shards[s].entries[heads[s]].first_pos;
-        if (best == shard_count || pos < best_pos) {
-          best = s;
-          best_pos = pos;
-        }
-      }
-      ShardEntry& entry = shards[best].entries[heads[best]++];
-      entry.gid = static_cast<Gid>(gid);
-      fids[gid] = entry.fid;
-      kinds[gid] = entry.kind;
-      scanned[gid] = entry.scan_count;
+  g.vertices_.reserve(total_vertices);
+  for (const auto& partial : partials) {
+    for (const auto& vertex : partial.vertices) {
+      g.vertices_.intern_scanned(vertex.fid, vertex.kind);
     }
   }
-  g.vertices_ = VertexTable::from_columns(std::move(fids), std::move(kinds),
-                                          std::move(scanned));
-
-  // --- Phase 3: parallel edge remap via the (now read-only) shards. ---
-  std::vector<GidEdge> edges(total_edges);
-  const auto gid_of = [&](const Fid& fid) {
-    const Shard& shard = shards[FidHash{}(fid) % shard_count];
-    return shard.entries[shard.index.find(fid)->second].gid;
-  };
-  pool->parallel_for(
-      total_edges, [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::size_t p = static_cast<std::size_t>(
-            std::upper_bound(edge_offset.begin(), edge_offset.end(), begin) -
-            edge_offset.begin() - 1);
-        std::size_t local = begin - edge_offset[p];
-        for (std::size_t slot = begin; slot < end; ++slot) {
-          while (local >= partials[p].edges.size()) {
-            ++p;
-            local = 0;
-          }
-          const FidEdge& e = partials[p].edges[local++];
-          edges[slot] = {gid_of(e.src), gid_of(e.dst), e.kind};
-        }
-      });
-
+  std::vector<GidEdge> edges;
+  edges.reserve(total_edges);
+  for (const auto& partial : partials) {
+    for (const auto& e : partial.edges) {
+      const Gid src = g.vertices_.intern_referenced(e.src);
+      const Gid dst = g.vertices_.intern_referenced(e.dst);
+      edges.push_back({src, dst, e.kind});
+    }
+  }
   g.finalize(std::move(edges), pool);
   return g;
 }

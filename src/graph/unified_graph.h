@@ -38,10 +38,9 @@ class UnifiedGraph {
  public:
   /// Merges partial graphs in the given order (deterministic GIDs).
   /// FIDs referenced by edges but scanned on no server become phantom
-  /// vertices. With a pool of ≥ 2 workers, vertices are interned via
-  /// per-thread hash shards merged deterministically by global
-  /// first-seen position and edges are remapped in parallel; the result
-  /// is byte-identical to the serial path for any thread count.
+  /// vertices. Interning is serial (DESIGN.md §7); the pool, if given,
+  /// parallelizes the paired-edge classification, and the result is
+  /// byte-identical for any thread count.
   [[nodiscard]] static UnifiedGraph aggregate(
       std::span<const PartialGraph> partials, ThreadPool* pool = nullptr);
 

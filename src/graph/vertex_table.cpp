@@ -31,23 +31,6 @@ Gid VertexTable::intern_referenced(const Fid& fid) {
   return push_new(fid, ObjectKind::kPhantom, /*scanned=*/false);
 }
 
-VertexTable VertexTable::from_columns(std::vector<Fid> fids,
-                                      std::vector<ObjectKind> kinds,
-                                      std::vector<std::uint8_t> scanned) {
-  if (fids.size() >= kInvalidGid) {
-    throw std::length_error("vertex table: GID space exhausted");
-  }
-  VertexTable table;
-  table.fids_ = std::move(fids);
-  table.kinds_ = std::move(kinds);
-  table.scanned_ = std::move(scanned);
-  table.index_.reserve(table.fids_.size());
-  for (std::size_t i = 0; i < table.fids_.size(); ++i) {
-    table.index_.emplace(table.fids_[i], static_cast<Gid>(i));
-  }
-  return table;
-}
-
 Gid VertexTable::lookup(const Fid& fid) const {
   const auto it = index_.find(fid);
   return it == index_.end() ? kInvalidGid : it->second;

@@ -7,14 +7,12 @@
 // some server or is only known as an edge target (a phantom — the
 // signature of a dangling reference).
 //
-// Thread discipline (DESIGN.md §8): deliberately unsynchronized. The
-// parallel aggregator never interns into a shared VertexTable —
-// each shard thread fills its own private hash shard
-// (unified_graph.cpp), and from_columns() assembles the merged result
-// on one thread. After assembly the table is read-only and may be
-// shared freely. A mutex here would serialize the intern hot path for
-// no correctness gain, so fr_lint's mutex-needs-guards rule has
-// nothing to see — exclusive ownership, not locking, is the protocol.
+// Thread discipline (DESIGN.md §8): deliberately unsynchronized. One
+// thread interns (UnifiedGraph::aggregate); after that the table is
+// read-only and may be shared freely. A mutex here would serialize the
+// intern hot path for no correctness gain, so fr_lint's
+// mutex-needs-guards rule has nothing to see — exclusive ownership, not
+// locking, is the protocol.
 #pragma once
 
 #include <cstdint>
@@ -44,14 +42,6 @@ class VertexTable {
 
   /// Returns the GID for `fid`, or kInvalidGid if never interned.
   [[nodiscard]] Gid lookup(const Fid& fid) const;
-
-  /// Assembles a table whose column arrays were produced elsewhere (the
-  /// parallel aggregator's shard merge): entry i becomes GID i. FIDs
-  /// must be unique; `scanned` holds the saturating scan counts. The
-  /// lookup index is rebuilt here.
-  [[nodiscard]] static VertexTable from_columns(
-      std::vector<Fid> fids, std::vector<ObjectKind> kinds,
-      std::vector<std::uint8_t> scanned);
 
   [[nodiscard]] const Fid& fid_of(Gid gid) const { return fids_[gid]; }
   [[nodiscard]] ObjectKind kind_of(Gid gid) const { return kinds_[gid]; }

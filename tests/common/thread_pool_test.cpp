@@ -125,24 +125,22 @@ TEST(ParallelForRangesTest, DegenerateBoundariesAreNoops) {
   EXPECT_FALSE(ran);
 }
 
-// Sticky ranges: same coverage contract as the unpinned path. Affinity
-// itself is a placement hint (waiters may steal), so these tests pin
-// down semantics — coverage, nesting, exceptions — not thread identity.
-TEST(ParallelForRangesTest, StickyCoversEveryIndexExactlyOnce) {
+TEST(ParallelForRangesTest, RepeatedForksCoverEveryIndexExactlyOnce) {
+  // The rank kernel forks over the same boundary list every sweep of
+  // every iteration; each fork must cover every index once and keep the
+  // range indices of the boundary list.
   ThreadPool pool(3);
   const std::vector<std::size_t> bounds = {0, 7, 7, 64, 100, 128};
   std::vector<std::atomic<int>> hits(128);
   std::vector<std::size_t> chunk_of(128, 99);
   for (int round = 0; round < 4; ++round) {
     pool.parallel_for_ranges(
-        bounds,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        bounds, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
           for (std::size_t i = begin; i < end; ++i) {
             hits[i].fetch_add(1);
             chunk_of[i] = chunk;
           }
-        },
-        /*sticky=*/true);
+        });
   }
   for (std::size_t i = 0; i < 128; ++i) {
     ASSERT_EQ(hits[i].load(), 4) << "index " << i;
@@ -152,62 +150,44 @@ TEST(ParallelForRangesTest, StickyCoversEveryIndexExactlyOnce) {
   EXPECT_EQ(chunk_of[100], 4u);
 }
 
-TEST(ParallelForRangesTest, StickyWithMoreRangesThanWorkers) {
+TEST(ParallelForRangesTest, MoreRangesThanWorkers) {
   ThreadPool pool(2);
   std::vector<std::size_t> bounds;
   for (std::size_t i = 0; i <= 9; ++i) bounds.push_back(i * 10);
   std::vector<std::atomic<int>> hits(90);
   pool.parallel_for_ranges(
-      bounds,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
+      bounds, [&](std::size_t begin, std::size_t end, std::size_t) {
         for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      },
-      /*sticky=*/true);
+      });
   for (auto& h : hits) ASSERT_EQ(h.load(), 1);
 }
 
-TEST(ParallelForRangesTest, StickyNestedInsideWorkerDoesNotDeadlock) {
-  // A worker running a sticky range forks another sticky batch, some of
-  // whose ranges are pinned to the worker itself — the group-waiter
-  // steal path must run them on the waiting thread.
+TEST(ParallelForRangesTest, NestedInsideWorkerDoesNotDeadlock) {
+  // Every worker runs an outer range that forks an inner batch while
+  // the other worker is busy too — the group-waiter steal path must run
+  // the inner ranges on the waiting threads.
   ThreadPool pool(2);
   const std::vector<std::size_t> outer = {0, 1, 2};
   std::atomic<int> inner_hits{0};
-  pool.parallel_for_ranges(
-      outer,
-      [&](std::size_t, std::size_t, std::size_t) {
-        const std::vector<std::size_t> inner = {0, 5, 10, 15, 20};
-        pool.parallel_for_ranges(
-            inner,
-            [&](std::size_t begin, std::size_t end, std::size_t) {
-              inner_hits.fetch_add(static_cast<int>(end - begin));
-            },
-            /*sticky=*/true);
-      },
-      /*sticky=*/true);
+  pool.parallel_for_ranges(outer, [&](std::size_t, std::size_t,
+                                      std::size_t) {
+    const std::vector<std::size_t> inner = {0, 5, 10, 15, 20};
+    pool.parallel_for_ranges(
+        inner, [&](std::size_t begin, std::size_t end, std::size_t) {
+          inner_hits.fetch_add(static_cast<int>(end - begin));
+        });
+  });
   EXPECT_EQ(inner_hits.load(), 40);
 }
 
-TEST(ParallelForRangesTest, StickyPropagatesExceptions) {
+TEST(ParallelForRangesTest, PropagatesExceptions) {
   ThreadPool pool(2);
   const std::vector<std::size_t> bounds = {0, 10, 20, 30};
-  EXPECT_THROW(
-      pool.parallel_for_ranges(
-          bounds,
-          [&](std::size_t begin, std::size_t, std::size_t) {
-            if (begin == 10) throw std::runtime_error("boom");
-          },
-          /*sticky=*/true),
-      std::runtime_error);
-}
-
-TEST(ThreadPoolTest, SubmitPinnedAfterShutdownThrows) {
-  ThreadPool pool(2);
-  pool.shutdown();
-  const std::vector<std::size_t> bounds = {0, 10};
   EXPECT_THROW(pool.parallel_for_ranges(
-                   bounds, [](std::size_t, std::size_t, std::size_t) {},
-                   /*sticky=*/true),
+                   bounds,
+                   [&](std::size_t begin, std::size_t, std::size_t) {
+                     if (begin == 10) throw std::runtime_error("boom");
+                   }),
                std::runtime_error);
 }
 

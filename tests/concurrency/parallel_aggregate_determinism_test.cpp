@@ -1,6 +1,8 @@
 // The parallel aggregation pipeline must be bit-identical to the serial
 // reference path: same GIDs, same CSR, same pairing flags, same
-// unpaired-edge ordering — for any thread count.
+// unpaired-edge ordering — for any thread count. Interning is serial,
+// so a pooled aggregate differs from a serial one only in the parallel
+// finalize (pairing flags, in-degree splits, unpaired-edge order).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -137,7 +139,10 @@ TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
   const AggregationResult batch = aggregate(scan.results);
 
   ThreadPool pool(4);
-  const PipelineResult streamed = scan_and_aggregate(cluster, &pool);
+  PipelineConfig config;
+  config.pool = &pool;
+  config.allow_degraded = false;
+  const PipelineResult streamed = scan_and_aggregate(cluster, config);
 
   expect_identical(batch.graph, streamed.agg.graph);
   EXPECT_EQ(batch.transferred_bytes, streamed.agg.transferred_bytes);

@@ -7,9 +7,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -23,7 +21,7 @@ namespace {
 // Star with pairing structure: hub 0 points at every spoke; the first
 // half point back (paired), the second half do not (unpaired); the last
 // kIsolated vertices have no edges at all, so they are both pass-1 and
-// pass-2 sinks. Big enough to clear the default serial grain.
+// pass-2 sinks. Big enough to clear kRankSerialGrain.
 constexpr std::size_t kStarVertices = 3000;
 constexpr std::size_t kIsolated = 10;
 
@@ -256,229 +254,6 @@ TEST(CrossKernelGoldenTest, BitIdenticalUnderWarmStart) {
   const PropagationPlan plan = PropagationPlan::build(g, warm.unpaired_weight);
   expect_results_equal(oracle, run_faultyrank(g, plan, warm, &pool),
                        "warm start plan");
-}
-
-TEST(CrossKernelGoldenTest, SerialGrainDoesNotChangeBits) {
-  const UnifiedGraph g = make_star_graph();
-  ThreadPool pool(4);
-  FaultyRankConfig config;
-  config.epsilon = 1e-7;
-  const FaultyRankResult oracle = run_faultyrank_reference(g, config);
-  for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{4096}, std::size_t{1} << 40}) {
-    FaultyRankConfig swept = config;
-    swept.serial_grain = grain;
-    expect_results_equal(oracle, run_faultyrank(g, swept, &pool),
-                         "grain=" + std::to_string(grain));
-  }
-}
-
-// ---------------------------------------------------------------------
-// Layout options: vertex reordering and float32 mode (DESIGN.md §14).
-// ---------------------------------------------------------------------
-
-TEST(PropagationPlanTest, MatchesRejectsDifferentLayout) {
-  const UnifiedGraph g = make_star_graph();
-  const PlanOptions reordered{VertexOrdering::kDegree, false};
-  const PropagationPlan plan =
-      PropagationPlan::build(g, 0.1, nullptr, reordered);
-
-  // The layout-blind form still matches; the full form discriminates.
-  EXPECT_TRUE(plan.matches(g, 0.1));
-  EXPECT_TRUE(plan.matches(g, 0.1, reordered));
-  EXPECT_FALSE(plan.matches(g, 0.1, {VertexOrdering::kNone, false}));
-  EXPECT_FALSE(plan.matches(g, 0.1, {VertexOrdering::kRcm, false}));
-  EXPECT_FALSE(plan.matches(g, 0.1, {VertexOrdering::kDegree, true}));
-
-  // The kernel refuses a plan whose ordering differs from the config's
-  // — silently sweeping relabeled adjacency under the wrong assumption
-  // would return permuted garbage.
-  FaultyRankConfig config;
-  EXPECT_THROW((void)run_faultyrank(g, plan, config), std::invalid_argument);
-  config.ordering = VertexOrdering::kDegree;
-  EXPECT_NO_THROW((void)run_faultyrank(g, plan, config));
-}
-
-TEST(PropagationPlanTest, ReorderedPlanOwnsRelabeledState) {
-  const UnifiedGraph g = make_power_law_graph();
-  const PropagationPlan base = PropagationPlan::build(g, 0.1);
-  const PropagationPlan reordered =
-      PropagationPlan::build(g, 0.1, nullptr, {VertexOrdering::kRcm, false});
-
-  // bytes() must account for what the reordered plan now owns: the
-  // permutation pair and the relabeled CSRs.
-  EXPECT_TRUE(base.permutation().empty());
-  EXPECT_FALSE(reordered.permutation().empty());
-  EXPECT_GE(reordered.bytes(),
-            base.bytes() + reordered.permutation().bytes());
-
-  // Sink lists stay sorted (the kernel binary-searches them) and keep
-  // their sizes — sinkness is a per-vertex property, renaming moves it.
-  EXPECT_TRUE(std::is_sorted(reordered.forward_sinks().begin(),
-                             reordered.forward_sinks().end()));
-  EXPECT_TRUE(std::is_sorted(reordered.reversed_sinks().begin(),
-                             reordered.reversed_sinks().end()));
-  EXPECT_EQ(reordered.forward_sinks().size(), base.forward_sinks().size());
-  EXPECT_EQ(reordered.reversed_sinks().size(), base.reversed_sinks().size());
-
-  // Coefficient VALUES are bitwise relabel-invariant — only slot
-  // positions move — so the sorted multisets coincide exactly.
-  const auto sorted_of = [](std::span<const double> s) {
-    std::vector<double> v(s.begin(), s.end());
-    std::sort(v.begin(), v.end());
-    return v;
-  };
-  expect_bits_equal(sorted_of(base.coeff_rev()),
-                    sorted_of(reordered.coeff_rev()), "coeff_rev multiset");
-  expect_bits_equal(sorted_of(base.coeff_fwd()),
-                    sorted_of(reordered.coeff_fwd()), "coeff_fwd multiset");
-}
-
-TEST(PropagationPlanTest, Float32CoefficientsAreNarrowedDoubles) {
-  const UnifiedGraph g = make_star_graph();
-  const PropagationPlan f64 = PropagationPlan::build(g, 0.1);
-  const PropagationPlan f32 =
-      PropagationPlan::build(g, 0.1, nullptr, {VertexOrdering::kNone, true});
-
-  EXPECT_TRUE(f32.coeff_rev().empty());
-  EXPECT_TRUE(f32.coeff_fwd().empty());
-  ASSERT_EQ(f32.coeff_rev_f32().size(), f64.coeff_rev().size());
-  ASSERT_EQ(f32.coeff_fwd_f32().size(), f64.coeff_fwd().size());
-  for (std::size_t slot = 0; slot < f64.coeff_rev().size(); ++slot) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(f32.coeff_rev_f32()[slot]),
-              std::bit_cast<std::uint32_t>(
-                  static_cast<float>(f64.coeff_rev()[slot])))
-        << "rev slot " << slot;
-  }
-  for (std::size_t slot = 0; slot < f64.coeff_fwd().size(); ++slot) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(f32.coeff_fwd_f32()[slot]),
-              std::bit_cast<std::uint32_t>(
-                  static_cast<float>(f64.coeff_fwd()[slot])))
-        << "fwd slot " << slot;
-  }
-  // The point of the mode: the coefficient arrays halve.
-  EXPECT_LT(f32.bytes(), f64.bytes());
-}
-
-// The per-ordering determinism contract: a reordered plan-kernel run
-// must be bit-identical to the reference oracle running on the
-// *relabeled* graph (built independently through from_edges), mapped
-// back through the permutation. This pins down that reordering is a
-// pure renaming — same mathematics, relabeled summation order.
-TEST(ReorderGoldenTest, BitIdenticalToReferenceOnRelabeledGraph) {
-  const UnifiedGraph g = make_power_law_graph();
-  const std::size_t n = g.vertex_count();
-  for (const auto ordering : {VertexOrdering::kDegree, VertexOrdering::kRcm}) {
-    const VertexPermutation perm = compute_ordering(g, ordering);
-    const UnifiedGraph relabeled =
-        UnifiedGraph::from_edges(n, relabel_edges(g.forward(), perm));
-
-    FaultyRankConfig config;
-    config.epsilon = 1e-7;
-    config.max_iterations = 40;
-    const FaultyRankResult oracle = run_faultyrank_reference(relabeled, config);
-
-    FaultyRankConfig with_ordering = config;
-    with_ordering.ordering = ordering;
-    with_ordering.use_simd = false;
-    const std::string tag = std::string("ordering=") + to_string(ordering);
-
-    ThreadPool pool(4);
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const FaultyRankResult run = run_faultyrank(g, with_ordering, p);
-      EXPECT_EQ(run.iterations, oracle.iterations) << tag;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(run.final_diff),
-                std::bit_cast<std::uint64_t>(oracle.final_diff))
-          << tag;
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(run.mean_rank),
-                std::bit_cast<std::uint64_t>(oracle.mean_rank))
-          << tag;
-      ASSERT_EQ(run.id_rank.size(), n) << tag;
-      for (std::size_t v = 0; v < n; ++v) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(run.id_rank[v]),
-                  std::bit_cast<std::uint64_t>(
-                      oracle.id_rank[perm.new_of_old[v]]))
-            << tag << " id_rank old-vertex " << v;
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(run.prop_rank[v]),
-                  std::bit_cast<std::uint64_t>(
-                      oracle.prop_rank[perm.new_of_old[v]]))
-            << tag << " prop_rank old-vertex " << v;
-      }
-    }
-  }
-}
-
-TEST(ReorderGoldenTest, ReorderedRunIsPoolSizeInvariant) {
-  const UnifiedGraph g = make_star_graph();
-  FaultyRankConfig config;
-  config.epsilon = 1e-7;
-  config.ordering = VertexOrdering::kDegree;
-  config.separate_properties = true;
-  const FaultyRankResult oracle = run_faultyrank(g, config);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    expect_results_equal(oracle, run_faultyrank(g, config, &pool),
-                         "reordered pool=" + std::to_string(threads));
-  }
-}
-
-TEST(Float32KernelTest, StaysCloseToFloat64OracleAndConservesMass) {
-  const UnifiedGraph g = make_power_law_graph();
-  FaultyRankConfig config;
-  config.epsilon = 1e-5;
-  config.max_iterations = 60;
-  const FaultyRankResult f64 = run_faultyrank(g, config);
-
-  FaultyRankConfig narrow = config;
-  narrow.float32 = true;
-  const FaultyRankResult f32 = run_faultyrank(g, narrow);
-
-  ASSERT_EQ(f32.id_rank.size(), f64.id_rank.size());
-  double max_rank = 1.0;
-  double linf = 0.0;
-  double mass = 0.0;
-  for (std::size_t v = 0; v < f64.id_rank.size(); ++v) {
-    max_rank = std::max(max_rank, std::abs(f64.id_rank[v]));
-    linf = std::max(linf, std::abs(f64.id_rank[v] - f32.id_rank[v]));
-    mass += f32.id_rank[v];
-  }
-  // float32 carries ~1e-7 relative precision; allow generous headroom
-  // for accumulation across iterations.
-  EXPECT_LT(linf, 1e-3 * max_rank) << "L∞ drift too large";
-  const double n = static_cast<double>(g.vertex_count());
-  EXPECT_NEAR(mass, n, n * 1e-4);
-
-  // Pool-size invariance holds for the narrow mode too (the lane tree
-  // and reduction blocks never depend on the pool).
-  ThreadPool pool(4);
-  const FaultyRankResult pooled = run_faultyrank(g, narrow, &pool);
-  for (std::size_t v = 0; v < f32.id_rank.size(); ++v) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(f32.id_rank[v]),
-              std::bit_cast<std::uint64_t>(pooled.id_rank[v]))
-        << "float32 pool variance at " << v;
-  }
-}
-
-// The full stack — reorder + float32 (+ SIMD when available) — still
-// converges to the same fixpoint within float tolerance.
-TEST(Float32KernelTest, FullStackConvergesToTheSameFixpoint) {
-  const UnifiedGraph g = make_power_law_graph();
-  FaultyRankConfig config;
-  config.epsilon = 1e-5;
-  const FaultyRankResult f64 = run_faultyrank(g, config);
-
-  FaultyRankConfig stacked = config;
-  stacked.ordering = VertexOrdering::kDegree;
-  stacked.float32 = true;
-  ThreadPool pool(4);
-  const FaultyRankResult full = run_faultyrank(g, stacked, &pool);
-  ASSERT_TRUE(full.converged);
-  double max_rank = 1.0;
-  for (const double r : f64.id_rank) max_rank = std::max(max_rank, r);
-  for (std::size_t v = 0; v < f64.id_rank.size(); ++v) {
-    ASSERT_NEAR(f64.id_rank[v], full.id_rank[v], 1e-3 * max_rank)
-        << "vertex " << v;
-  }
 }
 
 TEST(CrossKernelGoldenTest, OnePlanServesManyRuns) {

@@ -97,8 +97,12 @@ TEST(DegradedPipelineTest, QuarantinedInodesFlowIntoCoverage) {
 }
 
 TEST(DegradedPipelineTest, LegacyEntryPointStaysStrictAndFaultFree) {
+  // A strict run without faults or a checkpoint covers every server and
+  // resumes nothing.
   const LustreCluster cluster = testing::make_populated_cluster(150, 34, 4);
-  const PipelineResult result = scan_and_aggregate(cluster);
+  PipelineConfig config;
+  config.allow_degraded = false;
+  const PipelineResult result = scan_and_aggregate(cluster, config);
   EXPECT_TRUE(result.failed_servers.empty());
   EXPECT_EQ(result.agg.coverage.coverage, 1.0);
   EXPECT_EQ(result.servers_resumed, 0u);
