@@ -2,8 +2,9 @@
 # One-command correctness gate (DESIGN.md §8): default build + full
 # ctest, the TSan concurrency suite, the ASan+UBSan full suite, the
 # fr_lint/fr_analyze static passes + runtime lock-order detection
-# (DESIGN.md §11), and the operational-fault robustness gate
-# (DESIGN.md §10). CI and pre-merge both run exactly this.
+# (DESIGN.md §11), the operational-fault robustness gate
+# (DESIGN.md §10), and the end-to-end benchmark's own tests. CI and
+# pre-merge both run exactly this.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -98,6 +99,14 @@ run ./build/bench/micro_kernels --kernels_only \
   --kernels_json=build/BENCH_kernels.json \
   --kernels_scale=14 --kernels_degree=8 --kernels_threads=4 \
   --kernels_min_speedup=1.3
+
+# 7. The end-to-end benchmark's own tests: build perfbench/ against
+#    src/ (in .bench_build/), run every workload on a tiny namespace
+#    with each op checked by its oracle, and require per-layer counts
+#    to repeat across runs and across pools of 1 and 3 workers — the
+#    pooled graph finalize against the pool-less path on real
+#    namespaces.
+run python3 perfbench/test_perfbench.py
 
 echo
 echo "check.sh: all gates green"

@@ -52,15 +52,27 @@ Csr Csr::build(std::size_t vertex_count, std::span<const GidEdge> edges) {
 }
 
 Csr Csr::reversed() const {
-  std::vector<GidEdge> reversed_edges;
-  reversed_edges.reserve(targets_.size());
+  // Counting-sort transpose. Sources are walked in ascending order and
+  // each forward list is sorted by (target, kind), so every reverse
+  // list comes out in (source, kind) order with no per-vertex sort.
+  Csr rev;
+  rev.offsets_.assign(vertex_count() + 1, 0);
+  for (const Gid t : targets_) ++rev.offsets_[t + 1];
+  std::partial_sum(rev.offsets_.begin(), rev.offsets_.end(),
+                   rev.offsets_.begin());
+
+  rev.targets_.resize(targets_.size());
+  rev.kinds_.resize(kinds_.size());
+  std::vector<std::uint64_t> cursor(rev.offsets_.begin(),
+                                    rev.offsets_.end() - 1);
   for (std::size_t v = 0; v + 1 < offsets_.size(); ++v) {
     for (auto slot = offsets_[v]; slot < offsets_[v + 1]; ++slot) {
-      reversed_edges.push_back(
-          {targets_[slot], static_cast<Gid>(v), kinds_[slot]});
+      const std::uint64_t rslot = cursor[targets_[slot]]++;
+      rev.targets_[rslot] = static_cast<Gid>(v);
+      rev.kinds_[rslot] = kinds_[slot];
     }
   }
-  return build(vertex_count(), reversed_edges);
+  return rev;
 }
 
 bool Csr::has_edge(Gid u, Gid v) const noexcept {

@@ -33,7 +33,9 @@ class Csr {
   /// any order; endpoints must be < vertex_count.
   static Csr build(std::size_t vertex_count, std::span<const GidEdge> edges);
 
-  /// Builds the edge-reversed graph (dst→src) over the same vertex set.
+  /// The edge-reversed graph (dst→src) over the same vertex set, by a
+  /// counting-sort transpose: equal to build() of the swapped edges,
+  /// slot for slot, without re-sorting.
   [[nodiscard]] Csr reversed() const;
 
   [[nodiscard]] std::size_t vertex_count() const noexcept {

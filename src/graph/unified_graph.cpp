@@ -14,9 +14,12 @@ UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
   for (const auto& partial : partials) {
     total_vertices += partial.vertices.size();
     total_edges += partial.edges.size();
+    for (const auto& vertex : partial.vertices) {
+      g.vertices_.count_scanned(vertex.fid);
+    }
   }
+  g.vertices_.size_runs(total_vertices);
 
-  g.vertices_.reserve(total_vertices);
   for (const auto& partial : partials) {
     for (const auto& vertex : partial.vertices) {
       g.vertices_.intern_scanned(vertex.fid, vertex.kind);
@@ -38,13 +41,17 @@ UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
 UnifiedGraph UnifiedGraph::from_edges(std::size_t vertex_count,
                                       std::span<const GidEdge> edges,
                                       ThreadPool* pool) {
+  // Synthesize FIDs so bench graphs flow through the same machinery.
+  const auto synthetic_fid = [](std::size_t v) {
+    return Fid{/*seq=*/1, /*oid=*/static_cast<std::uint32_t>(v), /*ver=*/0};
+  };
   UnifiedGraph g;
-  g.vertices_.reserve(vertex_count);
   for (std::size_t v = 0; v < vertex_count; ++v) {
-    // Synthesize FIDs so bench graphs flow through the same machinery.
-    g.vertices_.intern_scanned(
-        Fid{/*seq=*/1, /*oid=*/static_cast<std::uint32_t>(v), /*ver=*/0},
-        ObjectKind::kOther);
+    g.vertices_.count_scanned(synthetic_fid(v));
+  }
+  g.vertices_.size_runs(vertex_count);
+  for (std::size_t v = 0; v < vertex_count; ++v) {
+    g.vertices_.intern_scanned(synthetic_fid(v), ObjectKind::kOther);
   }
   g.finalize(std::vector<GidEdge>(edges.begin(), edges.end()), pool);
   return g;
@@ -60,42 +67,51 @@ void UnifiedGraph::finalize(std::vector<GidEdge> edges, ThreadPool* pool) {
   in_unpaired_.assign(n, 0);
   unpaired_.clear();
 
-  if (pool == nullptr || pool->size() <= 1 || n == 0) {
-    for (Gid u = 0; u < n; ++u) {
-      for (auto slot = forward_.edges_begin(u); slot < forward_.edges_end(u);
-           ++slot) {
-        const Gid v = forward_.target(slot);
-        const bool is_paired = forward_.has_edge(v, u);
-        forward_paired_[slot] = is_paired ? 1 : 0;
-        if (is_paired) {
-          ++in_paired_[v];
-        } else {
-          ++in_unpaired_[v];
-          unpaired_.push_back({u, v, forward_.kind(slot)});
+  // An edge u→v is paired iff some v→u exists, i.e. iff v is among u's
+  // in-neighbours. Both of u's lists are sorted by neighbour GID, so
+  // one merge of them classifies u's out-edges (flags and unpaired
+  // edges, in slot order) and u's in-edges (the in-degree split). Each
+  // vertex writes only its own slots and counters.
+  const auto pair_vertices = [&](std::size_t begin, std::size_t end,
+                                 std::vector<UnpairedEdge>& unpaired) {
+    for (Gid u = static_cast<Gid>(begin); u < end; ++u) {
+      auto out = forward_.edges_begin(u);
+      const auto out_end = forward_.edges_end(u);
+      auto in = reverse_.edges_begin(u);
+      const auto in_end = reverse_.edges_end(u);
+      std::uint32_t in_paired = 0;
+      while (out < out_end) {
+        const Gid v = forward_.target(out);
+        while (in < in_end && reverse_.target(in) < v) ++in;
+        const auto in_group = in;
+        while (in < in_end && reverse_.target(in) == v) ++in;
+        const bool is_paired = in != in_group;
+        in_paired += static_cast<std::uint32_t>(in - in_group);
+        for (; out < out_end && forward_.target(out) == v; ++out) {
+          if (is_paired) {
+            forward_paired_[out] = 1;
+          } else {
+            unpaired.push_back({u, v, forward_.kind(out)});
+          }
         }
       }
+      in_paired_[u] = in_paired;
+      in_unpaired_[u] = static_cast<std::uint32_t>(reverse_.out_degree(u)) -
+                        in_paired;
     }
+  };
+
+  if (pool == nullptr || pool->size() <= 1 || n == 0) {
+    pair_vertices(0, n, unpaired_);
     return;
   }
-
-  // Pass A (parallel over source-vertex ranges): pairing flags land in
-  // disjoint slot ranges; unpaired edges collect into per-chunk buffers
-  // whose concatenation in chunk order reproduces the serial (src-Gid,
-  // slot) ordering exactly.
+  // Per-chunk unpaired buffers, concatenated in chunk order, reproduce
+  // the serial (src GID, slot) order exactly.
   std::vector<std::vector<UnpairedEdge>> chunk_unpaired(
       std::min(n, pool->size()));
   pool->parallel_for(
       n, [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        auto& local = chunk_unpaired[chunk];
-        for (Gid u = static_cast<Gid>(begin); u < end; ++u) {
-          for (auto slot = forward_.edges_begin(u);
-               slot < forward_.edges_end(u); ++slot) {
-            const Gid v = forward_.target(slot);
-            const bool is_paired = forward_.has_edge(v, u);
-            forward_paired_[slot] = is_paired ? 1 : 0;
-            if (!is_paired) local.push_back({u, v, forward_.kind(slot)});
-          }
-        }
+        pair_vertices(begin, end, chunk_unpaired[chunk]);
       });
   std::size_t unpaired_total = 0;
   for (const auto& local : chunk_unpaired) unpaired_total += local.size();
@@ -103,29 +119,6 @@ void UnifiedGraph::finalize(std::vector<GidEdge> edges, ThreadPool* pool) {
   for (const auto& local : chunk_unpaired) {
     unpaired_.insert(unpaired_.end(), local.begin(), local.end());
   }
-
-  // Pass B (parallel over target-vertex ranges): each in-edge u→v of v
-  // is re-tested with the same predicate the serial loop used
-  // (has_edge(v, u)), so the per-vertex counts are race-free and
-  // identical to the serial scatter.
-  pool->parallel_for(n,
-                     [&](std::size_t begin, std::size_t end, std::size_t) {
-                       for (Gid v = static_cast<Gid>(begin); v < end; ++v) {
-                         std::uint32_t paired = 0;
-                         std::uint32_t unpaired = 0;
-                         for (auto slot = reverse_.edges_begin(v);
-                              slot < reverse_.edges_end(v); ++slot) {
-                           const Gid u = reverse_.target(slot);
-                           if (forward_.has_edge(v, u)) {
-                             ++paired;
-                           } else {
-                             ++unpaired;
-                           }
-                         }
-                         in_paired_[v] = paired;
-                         in_unpaired_[v] = unpaired;
-                       }
-                     });
 }
 
 std::uint64_t UnifiedGraph::bytes() const {

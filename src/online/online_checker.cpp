@@ -54,10 +54,10 @@ OnlineChecker::OnlineChecker(LustreCluster& cluster,
 
 void OnlineChecker::bootstrap() {
   // The fresh graph restarts its generation counter, so a stale cache
-  // could collide with a new generation value — drop it explicitly
-  // (plan first: it borrows the snapshot).
+  // could collide with a new generation value — drop the plan, without
+  // which nothing is reused. The snapshot stays: the next check carries
+  // its converged ranks over by FID.
   plan_.reset();
-  snapshot_.reset();
   graph_ = MutableMetadataGraph();
   claimants_.clear();
   last_seen_.assign(server_count(), {});
@@ -275,9 +275,38 @@ OnlineCheckResult OnlineChecker::check() {
   // a quiet filesystem, where freeze + plan build dominate the check.
   result.plan_reused = snapshot_.has_value() && plan_.has_value() &&
                        snapshot_generation_ == graph_.generation();
-  if (!result.plan_reused) {
+  FaultyRankConfig rank_config = config_.rank;
+  const bool warm = config_.warm_start && !last_id_rank_.empty();
+  std::vector<double> warm_id;
+  std::vector<double> warm_prop;
+  if (result.plan_reused) {
+    if (warm) {
+      rank_config.initial_id_ranks = &last_id_rank_;
+      rank_config.initial_prop_ranks = &last_prop_rank_;
+    }
+  } else {
     plan_.reset();  // borrows the snapshot: must die before it
+    // The previous snapshot maps each FID to the GID its converged
+    // ranks sit at; it goes once they are carried over, before the plan
+    // build.
+    std::optional<UnifiedGraph> previous = std::move(snapshot_);
     snapshot_.emplace(graph_.freeze(config_.pool));
+    if (warm) {
+      const std::size_t n = snapshot_->vertex_count();
+      warm_id.assign(n, rank_config.initial_rank);
+      warm_prop.assign(n, rank_config.initial_rank);
+      for (Gid v = 0; v < n; ++v) {
+        const Gid old =
+            previous->vertices().lookup(snapshot_->vertices().fid_of(v));
+        if (old != kInvalidGid) {
+          warm_id[v] = last_id_rank_[old];
+          warm_prop[v] = last_prop_rank_[old];
+        }
+      }
+      rank_config.initial_id_ranks = &warm_id;
+      rank_config.initial_prop_ranks = &warm_prop;
+    }
+    previous.reset();
     plan_.emplace(PropagationPlan::build(*snapshot_,
                                          config_.rank.unpaired_weight,
                                          config_.pool));
@@ -287,32 +316,10 @@ OnlineCheckResult OnlineChecker::check() {
   result.freeze_wall_seconds = freeze_timer.seconds();
 
   WallTimer rank_timer;
-  FaultyRankConfig rank_config = config_.rank;
-  std::vector<double> warm_id;
-  std::vector<double> warm_prop;
-  if (config_.warm_start && !last_ranks_.empty()) {
-    const std::size_t n = snapshot.vertex_count();
-    warm_id.assign(n, rank_config.initial_rank);
-    warm_prop.assign(n, rank_config.initial_rank);
-    for (Gid v = 0; v < n; ++v) {
-      const auto it = last_ranks_.find(snapshot.vertices().fid_of(v));
-      if (it != last_ranks_.end()) {
-        warm_id[v] = it->second.first;
-        warm_prop[v] = it->second.second;
-      }
-    }
-    rank_config.initial_id_ranks = &warm_id;
-    rank_config.initial_prop_ranks = &warm_prop;
-  }
   result.ranks = run_faultyrank(snapshot, *plan_, rank_config, config_.pool);
   if (config_.warm_start) {
-    last_ranks_.clear();
-    last_ranks_.reserve(snapshot.vertex_count());
-    for (Gid v = 0; v < snapshot.vertex_count(); ++v) {
-      last_ranks_.emplace(snapshot.vertices().fid_of(v),
-                          std::pair(result.ranks.id_rank[v],
-                                    result.ranks.prop_rank[v]));
-    }
+    last_id_rank_ = result.ranks.id_rank;
+    last_prop_rank_ = result.ranks.prop_rank;
   }
   DetectorConfig detector_config;
   detector_config.threshold = config_.detection_threshold;

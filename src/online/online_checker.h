@@ -151,8 +151,10 @@ class OnlineChecker {
   // one; duplicate-id corruption makes it several).
   std::unordered_map<Fid, std::vector<SlotRef>, FidHash> claimants_;
 
-  // Previous check's converged ranks, keyed by FID, for warm starts.
-  std::unordered_map<Fid, std::pair<double, double>, FidHash> last_ranks_;
+  // The previous check's converged ranks for warm starts, indexed by the
+  // GIDs of snapshot_ (the snapshot that check ran on).
+  std::vector<double> last_id_rank_;
+  std::vector<double> last_prop_rank_;
 };
 
 }  // namespace faultyrank

@@ -2,7 +2,8 @@
 // reference path: same GIDs, same CSR, same pairing flags, same
 // unpaired-edge ordering — for any thread count. Interning is serial,
 // so a pooled aggregate differs from a serial one only in the parallel
-// finalize (pairing flags, in-degree splits, unpaired-edge order).
+// finalize (pairing flags, in-degree splits, unpaired-edge order). Both
+// are also checked against a per-edge has_edge pairing oracle.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -63,6 +64,35 @@ void expect_identical(const UnifiedGraph& expected, const UnifiedGraph& actual) 
   ASSERT_EQ(expected.unpaired_edges(), actual.unpaired_edges());
 }
 
+/// Checks the pairing outputs against the definition, edge by edge:
+/// u→v is paired iff the graph holds some v→u. The in-degree split and
+/// the unpaired list (in (src GID, slot) order) follow from the flags.
+void expect_pairing_matches_oracle(const UnifiedGraph& g) {
+  const Csr& fwd = g.forward();
+  const std::size_t n = g.vertex_count();
+  std::vector<std::uint32_t> in_paired(n, 0);
+  std::vector<std::uint32_t> in_unpaired(n, 0);
+  std::vector<UnpairedEdge> unpaired;
+  for (Gid u = 0; u < n; ++u) {
+    for (auto slot = fwd.edges_begin(u); slot < fwd.edges_end(u); ++slot) {
+      const Gid v = fwd.target(slot);
+      const bool is_paired = fwd.has_edge(v, u);
+      ASSERT_EQ(g.paired(slot), is_paired) << "slot " << slot;
+      if (is_paired) {
+        ++in_paired[v];
+      } else {
+        ++in_unpaired[v];
+        unpaired.push_back({u, v, fwd.kind(slot)});
+      }
+    }
+  }
+  for (Gid v = 0; v < n; ++v) {
+    ASSERT_EQ(g.paired_in_degree(v), in_paired[v]) << "gid " << v;
+    ASSERT_EQ(g.unpaired_in_degree(v), in_unpaired[v]) << "gid " << v;
+  }
+  ASSERT_EQ(g.unpaired_edges(), unpaired);
+}
+
 /// Partials engineered to hit every interning wrinkle: cross-partial
 /// duplicate scans (double-reference), phantom endpoints, last-wins
 /// kind upgrades, and edges seen before/after their vertices.
@@ -97,6 +127,7 @@ TEST(ParallelAggregateTest, RmatFinalizeMatchesSerialForAnyThreadCount) {
   const UnifiedGraph serial =
       UnifiedGraph::from_edges(rmat.vertex_count, rmat.edges);
   ASSERT_FALSE(serial.unpaired_edges().empty());  // RMAT is mostly unpaired
+  expect_pairing_matches_oracle(serial);
   for (const std::size_t threads : {2u, 3u, 7u}) {
     ThreadPool pool(threads);
     const UnifiedGraph parallel =
@@ -105,9 +136,25 @@ TEST(ParallelAggregateTest, RmatFinalizeMatchesSerialForAnyThreadCount) {
   }
 }
 
+TEST(ParallelAggregateTest, MultigraphPairingMatchesOracleForAnyPool) {
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    const std::vector<GidEdge> edges =
+        testing::make_random_multigraph(seed, 300, 3000);
+    const UnifiedGraph serial = UnifiedGraph::from_edges(300, edges);
+    expect_pairing_matches_oracle(serial);
+    for (const std::size_t threads : {1u, 4u}) {
+      ThreadPool pool(threads);
+      const UnifiedGraph pooled = UnifiedGraph::from_edges(300, edges, &pool);
+      expect_pairing_matches_oracle(pooled);
+      expect_identical(serial, pooled);
+    }
+  }
+}
+
 TEST(ParallelAggregateTest, AdversarialPartialsMatchSerial) {
   const std::vector<PartialGraph> partials = make_adversarial_partials();
   const UnifiedGraph serial = UnifiedGraph::aggregate(partials);
+  expect_pairing_matches_oracle(serial);
   for (const std::size_t threads : {2u, 5u}) {
     ThreadPool pool(threads);
     const UnifiedGraph parallel = UnifiedGraph::aggregate(partials, &pool);
@@ -122,6 +169,7 @@ TEST(ParallelAggregateTest, ClusterScanAggregateMatchesSerial) {
   const ClusterScan scan = scan_cluster(cluster);
 
   const AggregationResult serial = aggregate(scan.results);
+  expect_pairing_matches_oracle(serial.graph);
   ThreadPool pool(4);
   const AggregationResult parallel = aggregate(scan.results, {}, &pool);
   expect_identical(serial.graph, parallel.graph);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "testing/fixtures.h"
 
 namespace faultyrank {
 namespace {
@@ -144,6 +145,31 @@ TEST_P(CsrPropertyTest, StructuralInvariantsHold) {
   EXPECT_EQ(rev.edge_count(), m);
   for (int i = 0; i < 50 && i < static_cast<int>(edges.size()); ++i) {
     EXPECT_TRUE(rev.has_edge(edges[i].dst, edges[i].src));
+  }
+}
+
+TEST_P(CsrPropertyTest, ReversedEqualsBuildOfSwappedEdges) {
+  // Few vertices, many edges: self-loops, repeated edges and one pair
+  // under several kinds, so the transpose must reproduce (target, kind)
+  // order without sorting.
+  Rng rng(GetParam());
+  const std::size_t n = 1 + rng.below(40);
+  const std::vector<GidEdge> edges =
+      testing::make_random_multigraph(GetParam(), n, rng.below(1500));
+  std::vector<GidEdge> swapped;
+  swapped.reserve(edges.size());
+  for (const auto& e : edges) swapped.push_back({e.dst, e.src, e.kind});
+
+  const Csr rev = Csr::build(n, edges).reversed();
+  const Csr want = Csr::build(n, swapped);
+  ASSERT_EQ(rev.vertex_count(), want.vertex_count());
+  ASSERT_EQ(rev.edge_count(), want.edge_count());
+  for (Gid v = 0; v <= n; ++v) {
+    ASSERT_EQ(rev.offsets()[v], want.offsets()[v]) << "vertex " << v;
+  }
+  for (std::uint64_t slot = 0; slot < want.edge_count(); ++slot) {
+    ASSERT_EQ(rev.target(slot), want.target(slot)) << "slot " << slot;
+    ASSERT_EQ(rev.kind(slot), want.kind(slot)) << "slot " << slot;
   }
 }
 

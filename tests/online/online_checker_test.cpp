@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "aggregator/aggregator.h"
 #include "checker/repair_executor.h"
 #include "faults/injector.h"
@@ -240,6 +243,64 @@ TEST(OnlineCheckerTest, WarmStartDoesNotChangeFindings) {
     EXPECT_EQ(a.report.findings[i].repair.kind,
               b.report.findings[i].repair.kind);
   }
+}
+
+/// The ranks a warm-started check must produce: `previous` ranks carried
+/// over to `graph` by FID (uniform for new vertices), then iterated.
+FaultyRankResult rank_warm_by_fid(const UnifiedGraph& before,
+                                  const FaultyRankResult& previous,
+                                  const UnifiedGraph& graph) {
+  std::unordered_map<Fid, Gid, FidHash> gid_before;
+  for (Gid v = 0; v < before.vertex_count(); ++v) {
+    gid_before.emplace(before.vertices().fid_of(v), v);
+  }
+  FaultyRankConfig config = OnlineCheckerConfig{}.rank;
+  std::vector<double> warm_id(graph.vertex_count(), config.initial_rank);
+  std::vector<double> warm_prop(graph.vertex_count(), config.initial_rank);
+  for (Gid v = 0; v < graph.vertex_count(); ++v) {
+    const auto it = gid_before.find(graph.vertices().fid_of(v));
+    if (it == gid_before.end()) continue;
+    warm_id[v] = previous.id_rank[it->second];
+    warm_prop[v] = previous.prop_rank[it->second];
+  }
+  config.initial_id_ranks = &warm_id;
+  config.initial_prop_ranks = &warm_prop;
+  const PropagationPlan plan =
+      PropagationPlan::build(graph, config.unpaired_weight);
+  return run_faultyrank(graph, plan, config);
+}
+
+void expect_same_ranks(const FaultyRankResult& want,
+                       const FaultyRankResult& got) {
+  EXPECT_EQ(want.iterations, got.iterations);
+  ASSERT_EQ(want.id_rank, got.id_rank);
+  ASSERT_EQ(want.prop_rank, got.prop_rank);
+}
+
+TEST(OnlineCheckerTest, WarmStartCarriesRanksOverByFid) {
+  LustreCluster cluster = testing::make_populated_cluster(200, 73);
+  ChangeLog log;
+  cluster.attach_changelog(&log);
+  cluster.create_file(cluster.root(), "doomed", 100 * 1024);
+  OnlineChecker checker(cluster);
+  checker.bootstrap();
+  const OnlineCheckResult first = checker.check();
+  const UnifiedGraph first_graph = checker.graph().freeze();
+
+  // Vertices leave and arrive, so GIDs shift between the snapshots.
+  cluster.unlink(cluster.root(), "doomed");
+  cluster.create_file(cluster.root(), "fresh", 100 * 1024);
+  checker.catch_up();
+  const OnlineCheckResult second = checker.check();
+  ASSERT_FALSE(second.plan_reused);
+  const UnifiedGraph second_graph = checker.graph().freeze();
+  expect_same_ranks(rank_warm_by_fid(first_graph, first.ranks, second_graph),
+                    second.ranks);
+
+  const OnlineCheckResult third = checker.check();
+  ASSERT_TRUE(third.plan_reused);
+  expect_same_ranks(
+      rank_warm_by_fid(second_graph, second.ranks, second_graph), third.ranks);
 }
 
 TEST(OnlineCheckerTest, PlanReusedAcrossUnchangedChecks) {

@@ -1,9 +1,11 @@
-// Shared test fixtures: the paper's Fig. 3 example graph and small
-// populated clusters.
+// Shared test fixtures: the paper's Fig. 3 example graph, small
+// populated clusters, and random multigraphs.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
+#include "common/random.h"
 #include "graph/unified_graph.h"
 #include "pfs/cluster.h"
 #include "workload/namespace_gen.h"
@@ -77,6 +79,44 @@ inline LustreCluster make_populated_cluster(std::uint64_t files = 200,
   config.seed = seed;
   populate_namespace(cluster, config);
   return cluster;
+}
+
+/// A random multigraph over `n` vertices with every adjacency-order
+/// wrinkle: self-loops, repeated (u, v, kind) edges, one (u, v) pair
+/// under several kinds, and point-back pairs so some edges pair up.
+inline std::vector<GidEdge> make_random_multigraph(std::uint64_t seed,
+                                                   std::size_t n,
+                                                   std::size_t m) {
+  Rng rng(seed);
+  const auto vertex = [&] { return static_cast<Gid>(rng.below(n)); };
+  const auto kind = [&] { return static_cast<EdgeKind>(rng.below(5)); };
+  std::vector<GidEdge> edges;
+  while (edges.size() < m) {
+    const Gid u = vertex();
+    const Gid v = vertex();
+    const EdgeKind k = kind();
+    switch (rng.below(6)) {
+      case 0:
+        edges.push_back({u, u, k});
+        break;
+      case 1:
+        edges.push_back(edges.empty() ? GidEdge{u, v, k}
+                                      : edges[rng.below(edges.size())]);
+        break;
+      case 2:
+        for (std::uint64_t i = 0; i < 5; ++i) {
+          edges.push_back({u, v, static_cast<EdgeKind>(i)});
+        }
+        break;
+      case 3:
+        edges.push_back({u, v, k});
+        edges.push_back({v, u, paired_kind(k)});
+        break;
+      default:
+        edges.push_back({u, v, k});
+    }
+  }
+  return edges;
 }
 
 }  // namespace faultyrank::testing
