@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # One-command correctness gate (DESIGN.md §8): default build + full
-# ctest, the TSan concurrency suite, the ASan+UBSan full suite, the
-# fr_lint/fr_analyze static passes + runtime lock-order detection
-# (DESIGN.md §11), the operational-fault robustness gate
-# (DESIGN.md §10), and the end-to-end benchmark's own tests. CI and
-# pre-merge both run exactly this.
+# ctest, the TSan concurrency suite (data races and lock-order
+# inversions, with the seeded lock-order controls), the ASan+UBSan full
+# suite, the fr_analyze static passes (DESIGN.md §11), the
+# operational-fault robustness gate (DESIGN.md §10), the crash-matrix,
+# soak and rank-kernel smokes, and the end-to-end benchmark's own
+# tests. CI and pre-merge both run exactly this.
 #
 # Usage: scripts/check.sh [jobs]
 set -euo pipefail
@@ -18,14 +19,20 @@ run() {
   "$@"
 }
 
-# 1. Default build, full test suite (includes the `static` fr_lint
-#    tests: self-test fixtures + zero violations over src/ and bench/).
+# 1. Default build, full test suite (includes the `static` fr_analyze
+#    tests: fixture self-test, baseline-diff tree gate, coverage, and
+#    the negative controls).
 run cmake --preset default
 run cmake --build --preset default -j "${JOBS}"
 run ctest --preset default -j "${JOBS}" --output-on-failure
 
 # 2. ThreadSanitizer over the concurrency-labelled suite (pool torture,
-#    bounded-queue edge cases, parallel-aggregation determinism).
+#    bounded-queue edge cases, parallel-aggregation determinism). The
+#    test preset pins
+#    TSAN_OPTIONS=detect_deadlocks=1:second_deadlock_stack=1:halt_on_error=1,
+#    so a lock-order inversion fails the test that produced it, and the
+#    lock_order_control.* entries prove TSan still reports a seeded
+#    ABBA and a three-lock cycle through the Mutex wrappers.
 run cmake --preset tsan
 run cmake --build --preset tsan -j "${JOBS}"
 run ctest --preset tsan -j "${JOBS}"
@@ -36,19 +43,18 @@ run cmake --preset ubsan
 run cmake --build --preset ubsan -j "${JOBS}"
 run ctest --preset ubsan -j "${JOBS}"
 
-# 4. Static analysis: fr_lint house rules, then the fr_analyze
-#    cross-file passes (direct + call-chain-induced lock-order cycles,
-#    sim-time discipline, determinism of parallel reductions and
-#    unordered-iteration taint, blocking-under-lock, FR_GUARDED_BY
-#    coverage, serdes writer/reader symmetry, unchecked wire counts,
-#    wire-schema drift against the committed fingerprints) — self-test
-#    first so the fixture proofs gate before the tree run. The tree run
-#    diffs against the committed findings baseline: known findings are
+# 4. Static analysis: the fr_analyze passes (direct + call-chain-
+#    induced lock-order cycles, sim-time discipline, determinism of
+#    parallel reductions and unordered-iteration taint,
+#    blocking-under-lock, FR_GUARDED_BY coverage, serdes writer/reader
+#    symmetry, unchecked wire counts, wire-schema drift against the
+#    committed fingerprints, and the six line rules) — self-test first
+#    so the fixture proofs gate before the tree run. The tree run diffs
+#    against the committed findings baseline: known findings are
 #    tolerated, any new one fails. Then the annotation coverage
 #    baseline, and a stats snapshot of the analyzer itself into
 #    build/BENCH_analysis.json. Explicit invocations for a readable
 #    tail even though the default suite already gates on all of it.
-run ./build/tools/fr_lint src bench
 run ./build/tools/fr_analyze --self-test tools/fr_analyze_fixtures
 run ./build/tools/fr_analyze \
   --baseline tools/analysis/findings_baseline.json \
@@ -62,13 +68,6 @@ echo "==> fr_analyze --stats src bench tools (build/BENCH_analysis.json)"
   --schemas tools/analysis/wire_schemas.json \
   src bench tools > build/BENCH_analysis.json
 cat build/BENCH_analysis.json
-
-# 4b. Runtime lock-order detection: the instrumented-wrapper build runs
-#     the concurrency suite with per-thread held stacks + the global
-#     acquired-after edge set live; any inversion aborts the test.
-run cmake --preset deadlock
-run cmake --build --preset deadlock -j "${JOBS}"
-run ctest --preset deadlock -j "${JOBS}"
 
 # 5. Robustness gate: the `robustness`-labelled suite (operational
 #    faults, degraded coverage, checkpoint/resume determinism, crash

@@ -5,9 +5,10 @@
 // libstdc++'s std::mutex is not declared as a capability, so the
 // annotated wrappers in common/mutex.h are what these macros attach
 // to; FR_GUARDED_BY on a field naming a raw std::mutex would be
-// rejected by Clang. House rule (enforced by tools/fr_lint): every
-// mutex member must guard at least one FR_GUARDED_BY-annotated field
-// in the same file, so the analysis actually has something to check.
+// rejected by Clang. House rule (fr_analyze's mutex-needs-guards
+// pass): every mutex member must guard at least one
+// FR_GUARDED_BY-annotated field in the same file, so the analysis
+// actually has something to check.
 //
 // Build with -DFAULTYRANK_THREAD_SAFETY=ON under Clang to turn the
 // analysis on (it is promoted to an error); GCC compiles all of this
@@ -48,17 +49,9 @@
 /// no argument on a member of a capability/scoped type, refers to
 /// `this`.
 #define FR_ACQUIRE(...) FR_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define FR_ACQUIRE_SHARED(...) \
-  FR_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the capability (held on entry, not on exit).
 #define FR_RELEASE(...) FR_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define FR_RELEASE_SHARED(...) \
-  FR_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-
-/// Function acquires the capability iff it returns `b`.
-#define FR_TRY_ACQUIRE(b, ...) \
-  FR_THREAD_ANNOTATION(try_acquire_capability(b, __VA_ARGS__))
 
 /// Caller must NOT hold the listed capabilities (deadlock guard for
 /// functions that acquire them internally).

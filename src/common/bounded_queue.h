@@ -83,7 +83,7 @@ class BoundedQueue {
 
  private:
   const std::size_t capacity_;
-  mutable Mutex mutex_{"BoundedQueue::mutex_"};
+  mutable Mutex mutex_;
   std::deque<T> items_ FR_GUARDED_BY(mutex_);
   bool closed_ FR_GUARDED_BY(mutex_) = false;
   CondVar not_empty_;

@@ -12,7 +12,7 @@ namespace faultyrank {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
 
-Mutex g_sink_mutex{"logging::g_sink_mutex"};
+Mutex g_sink_mutex;
 // nullptr means stderr; resolved at write time because stderr is not a
 // constant expression.
 std::FILE* g_sink FR_GUARDED_BY(g_sink_mutex) = nullptr;

@@ -2,10 +2,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <utility>
-
-#include "common/annotations.h"
-#include "common/mutex.h"
 
 namespace faultyrank {
 
@@ -33,31 +29,6 @@ std::uint64_t read_status_kb(const char* field) {
 std::uint64_t rss_bytes() { return read_status_kb("VmRSS"); }
 
 std::uint64_t peak_rss_bytes() { return read_status_kb("VmHWM"); }
-
-namespace {
-Mutex g_phase_mutex{"memory_tracker::g_phase_mutex"};
-std::vector<MemoryPhase>& phase_log() FR_REQUIRES(g_phase_mutex) {
-  // Function-local so the registry works during static init/teardown.
-  static std::vector<MemoryPhase> log;
-  return log;
-}
-}  // namespace
-
-void record_memory_phase(std::string name) {
-  MemoryPhase sample{std::move(name), rss_bytes(), peak_rss_bytes()};
-  MutexLock lock(g_phase_mutex);
-  phase_log().push_back(std::move(sample));
-}
-
-std::vector<MemoryPhase> memory_phases() {
-  MutexLock lock(g_phase_mutex);
-  return phase_log();
-}
-
-void clear_memory_phases() {
-  MutexLock lock(g_phase_mutex);
-  phase_log().clear();
-}
 
 const char* format_bytes(std::uint64_t bytes, char* buf, int buf_size) {
   const double b = static_cast<double>(bytes);

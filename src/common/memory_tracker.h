@@ -2,16 +2,9 @@
 // DRAM usage of the CSR graph. Structures expose an exact bytes()
 // accounting; rss_bytes() additionally reads the process peak from
 // /proc for whole-run numbers.
-//
-// The phase registry records named RSS snapshots ("after scan", "after
-// aggregate", ...) from any thread; the fsck driver uses it to report
-// where a run's memory went without threading a tracker object through
-// every layer.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace faultyrank {
 
@@ -25,22 +18,5 @@ namespace faultyrank {
 /// Formats a byte count as a short human-readable string ("26.5 GB").
 [[nodiscard]] const char* format_bytes(std::uint64_t bytes, char* buf,
                                        int buf_size);
-
-/// One named RSS snapshot taken by record_memory_phase().
-struct MemoryPhase {
-  std::string name;
-  std::uint64_t rss = 0;   ///< VmRSS when the phase was recorded
-  std::uint64_t peak = 0;  ///< VmHWM when the phase was recorded
-};
-
-/// Snapshots the current RSS/peak under `name`. Thread-safe; samples
-/// keep their arrival order.
-void record_memory_phase(std::string name);
-
-/// Copy of every recorded phase, in arrival order. Thread-safe.
-[[nodiscard]] std::vector<MemoryPhase> memory_phases();
-
-/// Drops all recorded phases (tests, repeated runs). Thread-safe.
-void clear_memory_phases();
 
 }  // namespace faultyrank

@@ -23,31 +23,18 @@
 // caller. CondVar wraps std::condition_variable_any because the wait
 // has to relock through the annotated MutexLock, not a raw
 // std::unique_lock<std::mutex>.
-// Built with -DFAULTYRANK_DEADLOCK_DETECT=ON (the `deadlock` preset),
-// every wrapper acquisition additionally feeds the runtime lock-order
-// registry in common/deadlock.h: the thread-local held-lock stack and
-// the global acquired-after edge set, with DFS cycle detection on each
-// new edge. on_lock runs BEFORE the underlying lock so an inversion
-// reports even when the acquisition would block forever. Default
-// builds compile the exact same forwarding code as before.
+//
+// Lock order is checked twice: statically by fr_analyze's
+// lock-order-cycle passes over every MutexLock nesting, and dynamically
+// by ThreadSanitizer's lock-order-inversion detector in the tsan preset
+// (tests/concurrency/lock_order_control.cpp proves it fires through
+// these wrappers).
 #pragma once
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/annotations.h"
-
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-#include "common/deadlock.h"
-#define FR_DEADLOCK_ON_LOCK(m, n) ::faultyrank::deadlock::on_lock((m), (n))
-#define FR_DEADLOCK_ON_TRY(m, n) ::faultyrank::deadlock::on_try_lock((m), (n))
-#define FR_DEADLOCK_ON_UNLOCK(m) ::faultyrank::deadlock::on_unlock((m))
-#else
-#define FR_DEADLOCK_ON_LOCK(m, n) ((void)0)
-#define FR_DEADLOCK_ON_TRY(m, n) ((void)0)
-#define FR_DEADLOCK_ON_UNLOCK(m) ((void)0)
-#endif
 
 namespace faultyrank {
 
@@ -55,92 +42,14 @@ namespace faultyrank {
 class FR_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  /// Naming a mutex labels it in FAULTYRANK_DEADLOCK_DETECT cycle
-  /// reports; a no-op in default builds.
-  explicit Mutex([[maybe_unused]] const char* name)
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-      : name_(name)
-#endif
-  {
-  }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() FR_ACQUIRE() {
-    FR_DEADLOCK_ON_LOCK(this, name());
-    m_.lock();
-  }
-  void unlock() FR_RELEASE() {
-    m_.unlock();
-    FR_DEADLOCK_ON_UNLOCK(this);
-  }
-  [[nodiscard]] bool try_lock() FR_TRY_ACQUIRE(true) {
-    if (!m_.try_lock()) return false;
-    FR_DEADLOCK_ON_TRY(this, name());
-    return true;
-  }
+  void lock() FR_ACQUIRE() { m_.lock(); }
+  void unlock() FR_RELEASE() { m_.unlock(); }
 
  private:
-  [[nodiscard]] const char* name() const {
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-    return name_;
-#else
-    return nullptr;
-#endif
-  }
-
   std::mutex m_;
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-  const char* name_ = nullptr;
-#endif
-};
-
-/// Shared/exclusive capability wrapping std::shared_mutex. Shared
-/// acquisitions participate in deadlock detection like exclusive ones:
-/// a reader blocked behind a writer still orders the two locks.
-class FR_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  /// Naming labels the lock in FAULTYRANK_DEADLOCK_DETECT reports.
-  explicit SharedMutex([[maybe_unused]] const char* name)
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-      : name_(name)
-#endif
-  {
-  }
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() FR_ACQUIRE() {
-    FR_DEADLOCK_ON_LOCK(this, name());
-    m_.lock();
-  }
-  void unlock() FR_RELEASE() {
-    m_.unlock();
-    FR_DEADLOCK_ON_UNLOCK(this);
-  }
-  void lock_shared() FR_ACQUIRE_SHARED() {
-    FR_DEADLOCK_ON_LOCK(this, name());
-    m_.lock_shared();
-  }
-  void unlock_shared() FR_RELEASE_SHARED() {
-    m_.unlock_shared();
-    FR_DEADLOCK_ON_UNLOCK(this);
-  }
-
- private:
-  [[nodiscard]] const char* name() const {
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-    return name_;
-#else
-    return nullptr;
-#endif
-  }
-
-  std::shared_mutex m_;
-#if defined(FAULTYRANK_DEADLOCK_DETECT)
-  const char* name_ = nullptr;
-#endif
 };
 
 /// Scoped exclusive lock. Exposes lock()/unlock() so condition waits
@@ -170,22 +79,6 @@ class FR_SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mutex_;
   bool held_ = true;
-};
-
-/// Scoped shared (reader) lock over SharedMutex.
-class FR_SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& mutex) FR_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex_.lock_shared();
-  }
-  ~SharedLock() FR_RELEASE_SHARED() { mutex_.unlock_shared(); }
-
-  SharedLock(const SharedLock&) = delete;
-  SharedLock& operator=(const SharedLock&) = delete;
-
- private:
-  SharedMutex& mutex_;
 };
 
 /// Condition variable usable with MutexLock. wait() must be called

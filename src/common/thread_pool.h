@@ -144,7 +144,7 @@ class ThreadPool {
   void run_task(Task task);
 
   std::vector<std::thread> workers_;
-  Mutex mutex_{"ThreadPool::mutex_"};
+  Mutex mutex_;
   std::deque<Task> queue_ FR_GUARDED_BY(mutex_);
   CondVar work_available_;
   CondVar idle_;

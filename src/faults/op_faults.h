@@ -123,7 +123,7 @@ class OpFaultSchedule {
 
  private:
   OpFaultConfig config_;
-  Mutex mutex_{"OpFaultSchedule::mutex_"};
+  Mutex mutex_;
   std::map<std::string, std::unique_ptr<ServerFaultSchedule>> servers_
       FR_GUARDED_BY(mutex_);
 };

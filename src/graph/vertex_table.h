@@ -25,7 +25,7 @@
 // Thread discipline (DESIGN.md §8): deliberately unsynchronized. One
 // thread interns (UnifiedGraph::aggregate); after that the table is
 // read-only and may be shared freely. A mutex here would serialize the
-// intern hot path for no correctness gain, so fr_lint's
+// intern hot path for no correctness gain, so fr_analyze's
 // mutex-needs-guards rule has nothing to see — exclusive ownership, not
 // locking, is the protocol.
 #pragma once

@@ -105,7 +105,7 @@ class ChangeLog {
                                     ChangeLog& out);
 
  private:
-  mutable Mutex mutex_{"ChangeLog::mutex_"};
+  mutable Mutex mutex_;
   std::vector<ChangeRecord> records_ FR_GUARDED_BY(mutex_);
   std::uint64_t next_index_ FR_GUARDED_BY(mutex_) = 0;
 };

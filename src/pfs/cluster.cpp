@@ -18,7 +18,7 @@ const DirentEntry* find_dirent(const Inode& dir, std::string_view name) {
 
 // Names a crash point between two sub-updates of a namespace op (see
 // pfs/crash.h). Every multi-sub-update mutation sequence MUST thread
-// its steps through this macro — fr_lint's crash-point-required rule
+// its steps through this macro — fr_analyze's crash-point-required rule
 // enforces it for src/pfs/.
 #define FR_CRASH_POINT(op, point) crash_step(op, point)
 

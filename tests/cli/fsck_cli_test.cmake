@@ -1,0 +1,55 @@
+# faultyrank_fsck command-line test, run as a CMake script:
+#
+#   cmake -DFSCK=<path to faultyrank_fsck> -DWORK_DIR=<scratch dir> \
+#         -P fsck_cli_test.cmake
+#
+# 1. Round trip on a tiny image: create, inject all eight scenarios,
+#    check --repair (must verify consistent), then a plain check must
+#    come back clean.
+# 2. Every malformed numeric flag value exits with exactly 2 (usage),
+#    before any image is written.
+if(NOT FSCK OR NOT WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DFSCK=<fsck> -DWORK_DIR=<dir> -P ${CMAKE_CURRENT_LIST_FILE}")
+endif()
+file(REMOVE_RECURSE "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}")
+set(IMG "${WORK_DIR}/tiny.img")
+
+# Runs fsck with the given arguments and fails unless it exits with
+# `want`. The combined output lands in `out_var`.
+function(fsck want out_var)
+  execute_process(COMMAND "${FSCK}" ${ARGN}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+  if(NOT rc STREQUAL "${want}")
+    list(JOIN ARGN " " args)
+    message(FATAL_ERROR "faultyrank_fsck ${args}: exit ${rc}, want ${want}\n${out}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+fsck(0 out create "${IMG}" --files 200 --osts 2 --seed 7)
+fsck(0 out inject "${IMG}" --scenario all --seed 9)
+fsck(1 out check "${IMG}")
+fsck(0 out check "${IMG}" --repair)
+if(NOT out MATCHES "consistent after repair: yes")
+  message(FATAL_ERROR "check --repair did not verify consistent:\n${out}")
+endif()
+fsck(0 out check "${IMG}")
+if(NOT out MATCHES "findings: 0\n")
+  message(FATAL_ERROR "re-check after repair is not clean:\n${out}")
+endif()
+
+set(BAD "${WORK_DIR}/bad.img")
+foreach(flags IN ITEMS
+    "--files;abc;--osts;2"
+    "--files;5x0"
+    "--files;99999999999999999999999"
+    "--seed;-3"
+    "--seed;+3"
+    "--osts;abc")
+  fsck(2 out create "${BAD}" ${flags})
+  if(EXISTS "${BAD}")
+    list(JOIN flags " " args)
+    message(FATAL_ERROR "create ${args} wrote an image despite exit 2")
+  endif()
+endforeach()

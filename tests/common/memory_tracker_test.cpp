@@ -4,8 +4,6 @@
 
 #include <string>
 
-#include "common/thread_pool.h"
-
 namespace faultyrank {
 namespace {
 
@@ -22,42 +20,6 @@ TEST(MemoryTrackerTest, FormatBytesPicksUnits) {
             "5.00 MB");
   EXPECT_EQ(std::string(format_bytes(3 * (1ull << 30), buf, sizeof(buf))),
             "3.00 GB");
-}
-
-TEST(MemoryTrackerTest, PhaseRegistryKeepsArrivalOrder) {
-  clear_memory_phases();
-  record_memory_phase("scan");
-  record_memory_phase("aggregate");
-  record_memory_phase("rank");
-  const auto phases = memory_phases();
-  ASSERT_EQ(phases.size(), 3u);
-  EXPECT_EQ(phases[0].name, "scan");
-  EXPECT_EQ(phases[1].name, "aggregate");
-  EXPECT_EQ(phases[2].name, "rank");
-  for (const auto& phase : phases) {
-    EXPECT_GT(phase.rss, 0u);
-    EXPECT_GE(phase.peak, phase.rss / 2);
-  }
-  clear_memory_phases();
-  EXPECT_TRUE(memory_phases().empty());
-}
-
-TEST(MemoryTrackerTest, PhaseRegistryIsThreadSafe) {
-  clear_memory_phases();
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 50;
-  ThreadPool pool(kThreads);
-  TaskGroup group(pool);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    group.submit([t] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        record_memory_phase("t" + std::to_string(t));
-      }
-    });
-  }
-  group.wait();
-  EXPECT_EQ(memory_phases().size(), kThreads * kPerThread);
-  clear_memory_phases();
 }
 
 }  // namespace

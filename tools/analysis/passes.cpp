@@ -1,7 +1,10 @@
 #include "analysis/passes.h"
 
 #include <algorithm>
+#include <array>
+#include <cctype>
 #include <cstdio>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <set>
@@ -657,6 +660,371 @@ std::vector<Violation> run_schema_drift_pass(const WireModel& wire,
   return out;
 }
 
+// ---------------------------------------------------------------------
+// Line rules: mutex-needs-guards, no-raw-thread, no-c-random,
+// no-iostream-in-lib, no-unbounded-retry, crash-point-required. Each
+// reads one file's scrubbed-line view, so comments, string literals and
+// raw strings never trip them.
+// ---------------------------------------------------------------------
+
+namespace {
+
+bool is_ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+std::size_t skip_space(const std::string& line, std::size_t i) {
+  while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) {
+    ++i;
+  }
+  return i;
+}
+
+std::string without_space(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (std::isspace(static_cast<unsigned char>(c)) == 0) out += c;
+  }
+  return out;
+}
+
+std::string to_lower(std::string text) {
+  for (char& c : text) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return text;
+}
+
+bool mentions_any(const std::string& lowered,
+                  std::initializer_list<const char*> words) {
+  for (const char* word : words) {
+    if (lowered.find(word) != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// The name a scrubbed line declares a mutex under, or "" when it
+/// declares none: `[mutable|static] <mutex-type> name;`, optionally
+/// brace-initialized (`name{};`). Parameter lists and constructor calls
+/// put a '(' before the ';' and do not count.
+std::string mutex_decl_name(const std::string& line) {
+  static const std::array<std::string, 6> kMutexTypes = {
+      "std::mutex", "std::shared_mutex", "faultyrank::Mutex",
+      "faultyrank::SharedMutex", "Mutex", "SharedMutex"};
+  for (const std::string& type : kMutexTypes) {
+    for (std::size_t pos = line.find(type); pos != std::string::npos;
+         pos = line.find(type, pos + 1)) {
+      const std::size_t end = pos + type.size();
+      const bool left_ok =
+          pos == 0 || (!is_ident_char(line[pos - 1]) && line[pos - 1] != ':');
+      if (!left_ok || end >= line.size() || is_ident_char(line[end]) ||
+          line[end] == ':') {
+        continue;
+      }
+      std::size_t i = skip_space(line, end);
+      const std::size_t name_begin = i;
+      while (i < line.size() && is_ident_char(line[i])) ++i;
+      const std::string name = line.substr(name_begin, i - name_begin);
+      i = skip_space(line, i);
+      if (!name.empty() && i < line.size() && line[i] == '{') {
+        const std::size_t close = line.find('}', i);
+        i = close == std::string::npos ? line.size()
+                                       : skip_space(line, close + 1);
+      }
+      if (!name.empty() && i < line.size() && line[i] == ';') return name;
+    }
+  }
+  return "";
+}
+
+/// True when an FR_* annotation anywhere in the file names `mutex` as
+/// the trailing identifier of its argument (FR_GUARDED_BY(pool_.mutex_)
+/// names mutex_).
+bool has_annotation_for(const SourceFile& file, const std::string& mutex) {
+  static const std::array<std::string, 7> kAnnotations = {
+      "FR_GUARDED_BY(", "FR_PT_GUARDED_BY(", "FR_REQUIRES(",
+      "FR_REQUIRES_SHARED(", "FR_ACQUIRE(", "FR_RELEASE(", "FR_EXCLUDES("};
+  for (const std::string& line : file.scrubbed) {
+    for (const std::string& ann : kAnnotations) {
+      for (std::size_t pos = line.find(ann); pos != std::string::npos;
+           pos = line.find(ann, pos + 1)) {
+        const std::size_t open = pos + ann.size();
+        const std::size_t close = line.find(')', open);
+        if (close == std::string::npos) continue;
+        std::size_t tail = close;
+        while (tail > open && is_ident_char(line[tail - 1])) --tail;
+        if (line.compare(tail, close - tail, mutex) == 0) return true;
+      }
+    }
+  }
+  return false;
+}
+
+/// mutex-needs-guards: a mutex no annotation in its file names is
+/// invisible to the thread-safety analysis.
+void check_mutex_needs_guards(const SourceFile& file,
+                              std::vector<Violation>& out) {
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    const std::string name = mutex_decl_name(file.scrubbed[n]);
+    if (name.empty() || line_allows(file, n + 1, "mutex-needs-guards") ||
+        has_annotation_for(file, name)) {
+      continue;
+    }
+    out.push_back({file.path, n + 1, "mutex-needs-guards",
+                   "mutex '" + name +
+                       "' guards no FR_GUARDED_BY-annotated field in this "
+                       "file",
+                   "mutex-needs-guards|" + file.path + "|" + name});
+  }
+}
+
+/// no-raw-thread: the pool is the only place threads are born, so task
+/// groups, stealing and shutdown stay the only concurrency protocol.
+void check_no_raw_thread(const SourceFile& file, std::vector<Violation>& out) {
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    if (line_allows(file, n + 1, "no-raw-thread")) continue;
+    const std::string& line = file.scrubbed[n];
+    std::vector<std::string> spawns;
+    for (const char* token : {"std::jthread", "std::async", "pthread_create"}) {
+      if (line.find(token) != std::string::npos) spawns.push_back(token);
+    }
+    const std::string thread = "std::thread";
+    for (std::size_t pos = line.find(thread); pos != std::string::npos;
+         pos = line.find(thread, pos + 1)) {
+      // std::thread::hardware_concurrency() is a capability query, not
+      // a spawn; scope-qualified uses stay legal.
+      const std::size_t end = pos + thread.size();
+      const bool scope_use = line.compare(end, 2, "::") == 0;
+      if (!scope_use && (end >= line.size() || !is_ident_char(line[end]))) {
+        spawns.push_back(thread);
+      }
+    }
+    for (const std::string& token : spawns) {
+      out.push_back({file.path, n + 1, "no-raw-thread",
+                     "'" + token +
+                         "' outside common/thread_pool — use "
+                         "ThreadPool/TaskGroup",
+                     "no-raw-thread|" + file.path + "|" + token});
+    }
+  }
+}
+
+/// no-c-random: all randomness flows through the seeded generators in
+/// common/random.h, so runs reproduce from one seed.
+void check_no_c_random(const SourceFile& file, std::vector<Violation>& out) {
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    if (line_allows(file, n + 1, "no-c-random")) continue;
+    const std::string& line = file.scrubbed[n];
+    for (const std::string func : {"rand", "srand", "rand_r"}) {
+      for (std::size_t pos = line.find(func); pos != std::string::npos;
+           pos = line.find(func, pos + 1)) {
+        const std::size_t after = pos + func.size();
+        const std::size_t paren = skip_space(line, after);
+        const bool called = paren < line.size() && line[paren] == '(';
+        const bool whole_word =
+            (pos == 0 || !is_ident_char(line[pos - 1])) &&
+            (after >= line.size() || !is_ident_char(line[after]));
+        if (!called || !whole_word) continue;
+        out.push_back({file.path, n + 1, "no-c-random",
+                       "'" + func +
+                           "()' is banned — use the seeded generators in "
+                           "common/random.h",
+                       "no-c-random|" + file.path + "|" + func});
+      }
+    }
+  }
+}
+
+/// no-iostream-in-lib: <iostream> drags static-init order and
+/// unsynchronized stream state into library code, which logs through
+/// common/logging.h instead.
+void check_no_iostream(const SourceFile& file, std::vector<Violation>& out) {
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    if (without_space(file.scrubbed[n]).find("#include<iostream>") ==
+            std::string::npos ||
+        line_allows(file, n + 1, "no-iostream-in-lib")) {
+      continue;
+    }
+    out.push_back({file.path, n + 1, "no-iostream-in-lib",
+                   "<iostream> in library code — log through "
+                   "common/logging.h",
+                   "no-iostream-in-lib|" + file.path});
+  }
+}
+
+/// no-unbounded-retry: each condition-driven loop is delimited (header
+/// parens, then the braced body or the single statement), and a region
+/// that mentions retry/backoff must also mention a bound. Counted `for`
+/// loops are exempt, since their trip count bounds them, unless the
+/// header itself talks about retrying or is the infinite `for (;;)`.
+/// Loop bodies are capped at kMaxLoopLines.
+void check_unbounded_retry(const SourceFile& file,
+                           std::vector<Violation>& out) {
+  constexpr std::size_t kMaxLoopLines = 200;
+  const auto& lines = file.scrubbed;
+  for (std::size_t n = 0; n < lines.size(); ++n) {
+    const std::string& line = lines[n];
+    // The leftmost whole-word `while` or `for` on the line.
+    std::size_t keyword_pos = std::string::npos;
+    bool is_for = false;
+    for (const std::string keyword : {"while", "for"}) {
+      for (std::size_t pos = line.find(keyword); pos != std::string::npos;
+           pos = line.find(keyword, pos + 1)) {
+        const std::size_t end = pos + keyword.size();
+        if ((pos == 0 || !is_ident_char(line[pos - 1])) &&
+            (end >= line.size() || !is_ident_char(line[end]))) {
+          if (pos < keyword_pos) {
+            keyword_pos = pos;
+            is_for = keyword == "for";
+          }
+          break;
+        }
+      }
+    }
+    if (keyword_pos == std::string::npos ||
+        line_allows(file, n + 1, "no-unbounded-retry")) {
+      continue;
+    }
+
+    // Walk from the keyword: first the parenthesized header, then a
+    // braced body (to its matching close) or one statement (to ';').
+    int paren_depth = 0;
+    int brace_depth = 0;
+    bool header_done = false;
+    bool in_braces = false;
+    bool done = false;
+    std::string header;
+    std::string region;
+    for (std::size_t m = n; m < lines.size() && m < n + kMaxLoopLines && !done;
+         ++m) {
+      const std::string& body = lines[m];
+      const std::size_t start = m == n ? keyword_pos : 0;
+      region += body.substr(start) + "\n";
+      for (std::size_t i = start; i < body.size() && !done; ++i) {
+        const char c = body[i];
+        if (c == '(') ++paren_depth;
+        if (c == ')' && --paren_depth == 0) header_done = true;
+        if (!header_done) {
+          if (paren_depth > 0 && !(c == '(' && paren_depth == 1)) header += c;
+          continue;
+        }
+        if (c == '{') {
+          ++brace_depth;
+          in_braces = true;
+        }
+        if (c == '}' && --brace_depth == 0 && in_braces) done = true;
+        if (c == ';' && !in_braces && paren_depth == 0) done = true;
+      }
+    }
+
+    const std::string lowered_header = to_lower(header);
+    if (is_for && without_space(lowered_header) != ";;" &&
+        !mentions_any(lowered_header, {"retry", "backoff"})) {
+      continue;
+    }
+    const std::string lowered = to_lower(region);
+    if (!mentions_any(lowered, {"retry", "backoff"}) ||
+        mentions_any(lowered, {"max_attempts", "max_retries", "attempt_limit",
+                               "retry_budget", "deadline"})) {
+      continue;
+    }
+    out.push_back({file.path, n + 1, "no-unbounded-retry",
+                   "retry/backoff loop without a visible bound — reference "
+                   "max_attempts/max_retries/attempt_limit/retry_budget or "
+                   "a deadline",
+                   "no-unbounded-retry|" + file.path + "|" +
+                       without_space(line.substr(keyword_pos))});
+  }
+}
+
+/// crash-point-required: a PFS function applying two or more distinct
+/// metadata sub-updates must fire FR_CRASH_POINT so the crash-state
+/// enumerator (faults/crash_states.h) can interrupt it between them.
+/// Functions are delimited by column-0 `Type Class::name(` lines; one
+/// mutation alone is atomic from the enumerator's point of view.
+void check_crash_point_required(const SourceFile& file,
+                                std::vector<Violation>& out) {
+  static const std::array<std::string, 4> kMutations = {
+      "dirents.push_back", "dirents.erase", "link_ea.push_back", "erase_if"};
+  std::size_t start = std::string::npos;
+  std::set<std::string> mutations;
+  bool has_point = false;
+
+  const auto flush = [&] {
+    if (start != std::string::npos && mutations.size() >= 2 && !has_point &&
+        !line_allows(file, start + 1, "crash-point-required")) {
+      // The function name (`Class::name`) ends right before the '('.
+      const std::string& head = file.scrubbed[start];
+      const std::size_t end = head.find('(');
+      std::size_t begin = end;
+      while (begin > 0 &&
+             (is_ident_char(head[begin - 1]) || head[begin - 1] == ':')) {
+        --begin;
+      }
+      out.push_back({file.path, start + 1, "crash-point-required",
+                     "function applies " + std::to_string(mutations.size()) +
+                         " distinct metadata sub-updates with no "
+                         "FR_CRASH_POINT — instrument them so crash-state "
+                         "enumeration can interrupt the op",
+                     "crash-point-required|" + file.path + "|" +
+                         head.substr(begin, end - begin)});
+    }
+    mutations.clear();
+    has_point = false;
+  };
+
+  for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
+    const std::string& line = file.scrubbed[n];
+    // A definition head starts in column 0 (not a brace, directive or
+    // body line) and qualifies its name before the parameter list.
+    const bool column_zero = !line.empty() && line[0] != ' ' &&
+                             line[0] != '\t' && line[0] != '#' &&
+                             line[0] != '{' && line[0] != '}';
+    const std::size_t paren = line.find('(');
+    if (column_zero && paren != std::string::npos && line.find("::") < paren) {
+      flush();
+      start = n;
+      continue;
+    }
+    if (start == std::string::npos) continue;
+    if (line.find("FR_CRASH_POINT") != std::string::npos) has_point = true;
+    for (const std::string& token : kMutations) {
+      if (line.find(token) != std::string::npos &&
+          !line_allows(file, n + 1, "crash-point-required")) {
+        mutations.insert(token);
+      }
+    }
+  }
+  flush();
+}
+
+}  // namespace
+
+std::vector<Violation> run_line_passes(const std::vector<SourceFile>& files,
+                                       const PassOptions& options) {
+  std::vector<Violation> out;
+  for (const SourceFile& file : files) {
+    // The wrapper layer owns the raw std primitives the capabilities
+    // wrap, and the pool is where threads are born.
+    if (!path_ends_with(file.path, "common/mutex.h")) {
+      check_mutex_needs_guards(file, out);
+    }
+    if (!path_ends_with(file.path, "common/thread_pool.h") &&
+        !path_ends_with(file.path, "common/thread_pool.cpp")) {
+      check_no_raw_thread(file, out);
+    }
+    check_no_c_random(file, out);
+    if (options.treat_all_as_src || path_contains_dir(file.path, "src")) {
+      check_no_iostream(file, out);
+    }
+    check_unbounded_retry(file, out);
+    if (file.path.find("pfs") != std::string::npos) {
+      check_crash_point_required(file, out);
+    }
+  }
+  return out;
+}
+
 std::vector<Violation> run_all_passes(const std::vector<SourceFile>& files,
                                       const SymbolTable& /*symbols*/,
                                       const IncludeGraph& includes,
@@ -679,6 +1047,7 @@ std::vector<Violation> run_all_passes(const std::vector<SourceFile>& files,
   append(run_serdes_asymmetry_pass(wire, files));
   append(run_unchecked_wire_count_pass(wire, files));
   append(run_schema_drift_pass(wire, files, options));
+  append(run_line_passes(files, options));
   std::sort(out.begin(), out.end(), [](const Violation& a, const Violation& b) {
     if (a.file != b.file) return a.file < b.file;
     if (a.line != b.line) return a.line < b.line;

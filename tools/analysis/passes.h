@@ -1,4 +1,4 @@
-// The cross-file fr_analyze passes (DESIGN.md §11, §13).
+// The fr_analyze passes (DESIGN.md §8, §11, §13, §16).
 //
 // Intra-procedural (corpus-wide token view):
 //
@@ -65,6 +65,38 @@
 //                           a format-version-constant bump in the
 //                           writer's TU fails the gate.
 //
+// Line rules (one file's scrubbed-line view, SourceFile::scrubbed):
+//
+//   mutex-needs-guards      A mutex declaration (std::mutex,
+//                           std::shared_mutex, Mutex, SharedMutex) that
+//                           no FR_GUARDED_BY / FR_PT_GUARDED_BY /
+//                           FR_REQUIRES / FR_ACQUIRE-style annotation in
+//                           the same file names: the thread-safety
+//                           analysis has nothing to check against it.
+//   no-raw-thread           std::thread / std::jthread / std::async /
+//                           pthread_create outside common/thread_pool.*:
+//                           task groups, stealing and shutdown stay the
+//                           only concurrency protocol.
+//   no-c-random             rand() / srand() / rand_r(): randomness
+//                           flows through common/random.h so runs
+//                           reproduce from one seed.
+//   no-iostream-in-lib      #include <iostream> in library code (src/),
+//                           which logs through common/logging.h.
+//   no-unbounded-retry      A condition-driven loop (`while`,
+//                           `for (;;)`, or a `for` whose header talks
+//                           about retrying) mentioning retry/backoff
+//                           with no bound (max_attempts, max_retries,
+//                           attempt_limit, retry_budget, deadline):
+//                           it spins forever against a server that
+//                           stays down. Counted `for` loops are exempt.
+//   crash-point-required    A function in PFS code (paths containing
+//                           "pfs") applying two or more distinct
+//                           metadata sub-updates (DIRENT insert/erase,
+//                           LinkEA append, erase_if) with no
+//                           FR_CRASH_POINT between them: crash-state
+//                           enumeration (DESIGN.md §15) can never
+//                           interrupt it.
+//
 // A line can opt out with a trailing `// fr_analyze: allow(rule-id)`.
 // Every violation carries a line-insensitive fingerprint for the
 // baseline gate (analysis/baseline.h).
@@ -87,16 +119,20 @@ namespace fr_analysis {
 
 /// Every rule id fr_analyze can emit (the fixture self-test demands
 /// each appears in exactly one EXPECT header).
-inline constexpr std::array<const char*, 10> kAnalyzeRuleIds = {
+inline constexpr std::array<const char*, 16> kAnalyzeRuleIds = {
     "lock-order-cycle",    "sim-time",
     "determinism-reduction", "lock-order-cycle-transitive",
     "blocking-under-lock", "determinism-taint",
     "guarded-by-coverage", "serdes-asymmetry",
-    "unchecked-wire-count", "schema-drift"};
+    "unchecked-wire-count", "schema-drift",
+    "mutex-needs-guards",  "no-raw-thread",
+    "no-c-random",         "no-iostream-in-lib",
+    "no-unbounded-retry",  "crash-point-required"};
 
 struct PassOptions {
   /// Self-test mode: treat every file as pipeline code (src/), so the
-  /// sim-time pass is live on fixtures regardless of their path.
+  /// sim-time and no-iostream-in-lib rules are live on fixtures
+  /// regardless of their path.
   bool treat_all_as_src = false;
   /// Committed schema fingerprints to diff against. Empty disables the
   /// schema-drift pass (the other wire passes are always live).
@@ -145,7 +181,11 @@ struct PassOptions {
     const WireModel& wire, const std::vector<SourceFile>& files,
     const PassOptions& options);
 
-/// All ten passes over an analyzed corpus, sorted by
+/// The six line rules, file by file.
+[[nodiscard]] std::vector<Violation> run_line_passes(
+    const std::vector<SourceFile>& files, const PassOptions& options);
+
+/// All sixteen rules over an analyzed corpus, sorted by
 /// (file, line, rule, message) — byte-stable across runs.
 [[nodiscard]] std::vector<Violation> run_all_passes(
     const std::vector<SourceFile>& files, const SymbolTable& symbols,

@@ -80,8 +80,8 @@ SymbolTable SymbolTable::build(const std::vector<SourceFile>& files,
     const std::vector<Token>& toks = file.tokens;
     for (std::size_t k = 0; k < toks.size(); ++k) {
       // --- Mutex declarations: <type> <name> ; -----------------------
-      // Also <type> <name> { ... } ; — the brace-initialized form the
-      // deadlock-detect labels use (`Mutex mutex_{"Pool::mutex_"};`).
+      // Also <type> <name> { ... } ; — the brace-initialized form
+      // (`Mutex mutex_{};`).
       bool wrapper = false;
       const std::string type = mutex_type_at(toks, k, wrapper);
       bool is_decl = false;

@@ -5,7 +5,7 @@
 // reports a violation can point at the exact acquisition, clock call,
 // or accumulation it saw, and no pass can be fooled by banned spellings
 // inside comments or string literals (including multi-line raw
-// strings, which the old line-based fr_lint scrubber mishandled).
+// strings, which a line-by-line scrubber mishandles).
 #pragma once
 
 #include <cstddef>

@@ -255,15 +255,4 @@ SourceFile tokenize_file(const std::string& path) {
   return tokenize_text(path, buffer.str());
 }
 
-std::vector<std::string> scrub_lines(const std::vector<std::string>& raw) {
-  std::string text;
-  for (const std::string& line : raw) {
-    text += line;
-    text += '\n';
-  }
-  SourceFile file = tokenize_text("", text);
-  file.scrubbed.resize(raw.size());
-  return std::move(file.scrubbed);
-}
-
 }  // namespace fr_analysis

@@ -1,12 +1,12 @@
 // Tokenizer with file/line provenance — the single lexing pass every
-// fr_lint/fr_analyze rule builds on (DESIGN.md §11).
+// fr_analyze rule builds on (DESIGN.md §11).
 //
 // One scan produces both views of a file:
 //   * the token stream (comments dropped, literal *contents* kept in
 //     Token::text so the include-graph walker can read include paths),
 //   * the scrubbed line view (comments and literal contents blanked
-//     with spaces, line lengths stable) for the line-oriented fr_lint
-//     rules.
+//     with spaces, line lengths stable) for the six line rules
+//     (mutex-needs-guards ... crash-point-required, analysis/passes.h).
 // Raw string literals (R"delim( ... )delim", any encoding prefix) are
 // handled here, so a quote or banned token inside one can no longer
 // corrupt scrubbing for the rest of the file.
@@ -25,11 +25,5 @@ namespace fr_analysis {
 /// Reads and tokenizes a file from disk. Missing/unreadable files come
 /// back with empty contents (the driver reports them).
 [[nodiscard]] SourceFile tokenize_file(const std::string& path);
-
-/// The scrub used by fr_lint's line rules: comments and string/char
-/// literal contents blanked with spaces (raw-string aware), line
-/// lengths and offsets preserved.
-[[nodiscard]] std::vector<std::string> scrub_lines(
-    const std::vector<std::string>& raw);
 
 }  // namespace fr_analysis

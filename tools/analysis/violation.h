@@ -1,9 +1,9 @@
-// Shared violation record + output formatting for fr_lint/fr_analyze.
+// Violation record + output formatting for fr_analyze.
 //
-// Both tools speak the same two formats: the human one on stderr
-// (file:line: [rule] message) and, under --json, machine-readable
-// records on stdout so scripts/check.sh and CI can diff violations
-// instead of grepping stderr.
+// Three formats: the human one on stderr (file:line: [rule] message),
+// and on stdout either JSON records (--json) so scripts/check.sh and
+// CI can diff violations instead of grepping stderr, or SARIF 2.1.0
+// (--sarif) for code-scanning UIs.
 #pragma once
 
 #include <cstdio>
@@ -19,10 +19,8 @@ struct Violation {
   std::string message;
   /// Line-insensitive identity used by the baseline diff: stable across
   /// unrelated edits to the same file (each pass composes it from the
-  /// rule plus the names involved, never from line numbers). The
-  /// explicit empty default keeps four-field aggregate initializers
-  /// (fr_lint's rules, which fingerprint after the fact) warning-free.
-  std::string fingerprint{};
+  /// rule plus the names involved, never from line numbers).
+  std::string fingerprint;
 };
 
 inline std::string json_escape(const std::string& text) {

@@ -16,10 +16,12 @@
 //       roll an image back to a pre-repair undo snapshot
 //   faultyrank_fsck scenarios
 //       list injectable scenario names
+#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "checker/checker.h"
 #include "common/memory_tracker.h"
@@ -45,6 +47,17 @@ struct Args {
   std::string undo_path;
 };
 
+/// Parses `text` as a base-10 unsigned integer that must fill the whole
+/// string and fit in T (no sign, no whitespace, no trailing junk).
+template <typename T>
+std::optional<T> parse_unsigned(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, 10);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 std::optional<Args> parse(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -53,18 +66,22 @@ std::optional<Args> parse(int argc, char** argv) {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
+    // A numeric flag whose value is missing or malformed fails the
+    // whole parse, so main() prints usage and exits 2.
+    const auto number = [&](auto& field) {
+      const auto v = next();
+      const auto parsed =
+          v ? parse_unsigned<std::remove_reference_t<decltype(field)>>(*v)
+            : std::nullopt;
+      if (parsed) field = *parsed;
+      return parsed.has_value();
+    };
     if (arg == "--files") {
-      const auto v = next();
-      if (!v) return std::nullopt;
-      args.files = std::strtoull(v->c_str(), nullptr, 10);
+      if (!number(args.files)) return std::nullopt;
     } else if (arg == "--osts") {
-      const auto v = next();
-      if (!v) return std::nullopt;
-      args.osts = std::strtoull(v->c_str(), nullptr, 10);
+      if (!number(args.osts)) return std::nullopt;
     } else if (arg == "--seed") {
-      const auto v = next();
-      if (!v) return std::nullopt;
-      args.seed = std::strtoull(v->c_str(), nullptr, 10);
+      if (!number(args.seed)) return std::nullopt;
     } else if (arg == "--scenario") {
       const auto v = next();
       if (!v) return std::nullopt;
@@ -149,7 +166,8 @@ int cmd_inject(const Args& args) {
 
 int cmd_check(const Args& args) {
   LustreCluster cluster = load_cluster(args.positional[1]);
-  record_memory_phase("image loaded");
+  const std::uint64_t loaded_rss = rss_bytes();
+  const std::uint64_t loaded_peak = peak_rss_bytes();
   ThreadPool pool;
   CheckerConfig config;
   config.pool = &pool;
@@ -157,7 +175,8 @@ int cmd_check(const Args& args) {
   config.verify_after_repair = args.repair;
   config.capture_undo = args.repair && !args.undo_path.empty();
   const CheckerResult result = run_checker(cluster, config);
-  record_memory_phase("check complete");
+  const std::uint64_t checked_rss = rss_bytes();
+  const std::uint64_t checked_peak = peak_rss_bytes();
   if (!result.undo_image.empty()) {
     std::FILE* undo = std::fopen(args.undo_path.c_str(), "wb");
     if (undo == nullptr) {
@@ -195,12 +214,15 @@ int cmd_check(const Args& args) {
               result.timings.t_graph_sim + result.timings.t_graph_wall,
               result.timings.t_fr_wall);
   std::printf("findings: %zu\n", result.report.findings.size());
-  for (const MemoryPhase& phase : memory_phases()) {
+  const auto print_memory = [](const char* phase, std::uint64_t rss,
+                               std::uint64_t peak) {
     char rss_buf[32], peak_buf[32];
-    std::printf("memory: %-16s rss=%s peak=%s\n", phase.name.c_str(),
-                format_bytes(phase.rss, rss_buf, sizeof(rss_buf)),
-                format_bytes(phase.peak, peak_buf, sizeof(peak_buf)));
-  }
+    std::printf("memory: %-16s rss=%s peak=%s\n", phase,
+                format_bytes(rss, rss_buf, sizeof(rss_buf)),
+                format_bytes(peak, peak_buf, sizeof(peak_buf)));
+  };
+  print_memory("image loaded", loaded_rss, loaded_peak);
+  print_memory("check complete", checked_rss, checked_peak);
   if (args.verbose) {
     std::fputs(render_text(result.report).c_str(), stdout);
   }

@@ -1,5 +1,6 @@
-// fr_analyze — token-level cross-file analyzer for the invariants the
-// single-file fr_lint pass structurally cannot see (DESIGN.md §11, §13):
+// fr_analyze — the repo's one static-analysis driver: token-level
+// checks of the invariants the compiler cannot see (DESIGN.md §8, §11,
+// §13, §16). Sixteen rules, all listed in analysis/passes.h:
 //
 //   * the global lock hierarchy (lock-order-cycle, plus the
 //     call-chain-transitive variant fed by per-function summaries):
@@ -16,21 +17,21 @@
 //   * blocking-under-lock: no wait/join/file-I/O reachable while a
 //     scoped lock is held;
 //   * guarded-by-coverage: every FR_GUARDED_BY field write sits on a
-//     path that holds (or FR_REQUIRES) the guard.
+//     path that holds (or FR_REQUIRES) the guard;
+//   * the wire-schema model (analysis/wire_schema.h): writer/reader
+//     symmetry (serdes-asymmetry), unvalidated wire counts
+//     (unchecked-wire-count), and fingerprints against the committed
+//     tools/analysis/wire_schemas.json (schema-drift);
+//   * six line rules over each file's scrubbed lines: mutex-needs-
+//     guards, no-raw-thread, no-c-random, no-iostream-in-lib,
+//     no-unbounded-retry, crash-point-required.
 //
-// The static side is paired with a dynamic verifier: build with
-// -DFAULTYRANK_DEADLOCK_DETECT=ON (the `deadlock` preset) and the
-// annotated Mutex wrappers maintain per-thread held-lock stacks plus a
-// global acquired-after edge set, aborting (or calling the test hook)
-// with both stacks on an inversion. Statically this tool covers all
-// code paths; dynamically the tests cover the paths they execute.
-//
-// PR 10 adds the wire-schema model (analysis/wire_schema.h): serdes
-// writer/reader pairs are reconstructed into field sequences, compared
-// for symmetry (serdes-asymmetry), scanned for unvalidated wire counts
-// (unchecked-wire-count), and fingerprinted against the committed
-// tools/analysis/wire_schemas.json (schema-drift — a schema change
-// without a format-version bump fails the gate).
+// Every rule honours a trailing `// fr_analyze: allow(rule-id)` on the
+// reported line and fingerprints its findings line-insensitively.
+// Lock order has a dynamic check too: ThreadSanitizer's
+// lock-order-inversion detector in the tsan preset, proven by
+// tests/concurrency/lock_order_control.cpp. Statically this tool covers
+// all code paths; dynamically TSan covers the paths the tests execute.
 //
 // Usage:
 //   fr_analyze [--json|--sarif] [--baseline <f> | --write-baseline <f>]
