@@ -77,10 +77,27 @@ cat build/BENCH_analysis.json
 #    slice of the enumerated-crash + fuzz campaign (DESIGN.md §15):
 #    every ground-truthed state must repair to convergence with zero
 #    false positives, and raw-bytes fuzzing must stay behind
-#    PersistenceError.
+#    PersistenceError. Last, the full matrix must reproduce the
+#    committed BENCH_crash.json in everything but its wall time, so a
+#    change that alters any repair, state count or divergence class
+#    fails here.
 run ctest --preset default -j "${JOBS}" -L robustness --output-on-failure
 run ./build/bench/fault_campaign --smoke
 run ./build/bench/crash_matrix --smoke --out build/BENCH_crash_smoke.json
+run ./build/bench/crash_matrix --out build/BENCH_crash.json
+echo
+echo "==> build/BENCH_crash.json matches BENCH_crash.json but for wall_seconds"
+python3 - build/BENCH_crash.json BENCH_crash.json <<'PY'
+import json
+import sys
+
+got, want = (json.load(open(path)) for path in sys.argv[1:3])
+for doc in (got, want):
+    doc.pop("wall_seconds", None)
+if got != want:
+    moved = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+    sys.exit("crash matrix differs from BENCH_crash.json in: " + ", ".join(moved))
+PY
 
 # 5b. Cluster-life soak smoke: traffic + injected faults + the online
 #     checker + checkpointed offline passes on one cluster; exits

@@ -1,6 +1,8 @@
 #include "checker/repair_executor.h"
 
 #include <algorithm>
+#include <span>
+#include <unordered_map>
 
 namespace faultyrank {
 
@@ -14,36 +16,196 @@ RepairOutcome success(const RepairAction& action, std::string detail) {
   return {action, true, std::move(detail)};
 }
 
+/// A claimant packs (server position, ino) so that ascending order is
+/// the order a raw scan meets inodes: server by server, MDTs first,
+/// then slot by slot (ino = slot + 1).
+constexpr unsigned kServerShift = 48;
+constexpr std::uint64_t kInoMask = (std::uint64_t{1} << kServerShift) - 1;
+
+std::uint64_t pack(std::size_t server, std::uint64_t ino) {
+  return (static_cast<std::uint64_t>(server) << kServerShift) | ino;
+}
+
 }  // namespace
 
-std::optional<RepairExecutor::Located> RepairExecutor::locate(const Fid& fid) {
-  for (std::size_t m = 0; m < cluster_.mdt_count(); ++m) {
-    LdiskfsImage& mdt = cluster_.mdt_server(m).image;
-    if (Inode* inode = mdt.find_by_fid(fid)) {
-      return Located{&mdt, inode, /*on_mdt=*/true, 0};
+/// LMA fid → the in-use inodes carrying it, in raw-scan order
+/// (DESIGN.md §5). Each server's own fid sequence gets a direct run of
+/// one entry per oid, sized to its allocator cursor plus the plan's
+/// quarantine count, so the fids a plan mints (lost+found stubs,
+/// re-identified orphans) stay direct. All runs share one block.
+/// Versioned and foreign fids, and any fid two inodes carry at once,
+/// live in a small hash map.
+class RepairExecutor::ClaimantIndex {
+ public:
+  ClaimantIndex(LustreCluster& cluster, std::size_t headroom) {
+    const auto each_server = [&](auto&& visit) {
+      for (std::size_t m = 0; m < cluster.mdt_count(); ++m) {
+        visit(cluster.mdt_server(m).image, cluster.mdt_server(m).fids);
+      }
+      for (OstServer& ost : cluster.osts()) visit(ost.image, ost.fids);
+    };
+    std::uint64_t table_slots = 0;
+    each_server([&](const LdiskfsImage& image, const FidAllocator&) {
+      table_slots += image.inode_slots();
+    });
+    std::size_t run_end = 0;
+    each_server([&](const LdiskfsImage&, const FidAllocator& fids) {
+      // A cursor far past every inode slot (a corrupt snapshot) must
+      // not size a run; fids past a run's end go to the map instead.
+      const std::uint64_t cursor =
+          std::min<std::uint64_t>(fids.allocated(), 4 * table_slots);
+      runs_.push_back({fids.seq(), run_end, cursor + headroom + 1});
+      run_end += cursor + headroom + 1;
+    });
+    entries_.assign(run_end, 0);
+    std::size_t server = 0;
+    each_server([&](const LdiskfsImage& image, const FidAllocator&) {
+      for (std::uint64_t slot = 0; slot < image.inode_slots(); ++slot) {
+        if (const Inode* inode = image.inode_at(slot)) {
+          add(inode->lma_fid, pack(server, inode->ino));
+        }
+      }
+      ++server;
+    });
+  }
+
+  [[nodiscard]] std::span<const std::uint64_t> of(const Fid& fid) {
+    if (const std::uint64_t* entry = direct(fid);
+        entry != nullptr && *entry != kSpilled) {
+      return {entry, *entry == 0 ? 0u : 1u};
+    }
+    const auto it = spill_.find(fid);
+    if (it == spill_.end()) return {};
+    return it->second;
+  }
+
+  void add(const Fid& fid, std::uint64_t claimant) {
+    if (std::uint64_t* entry = direct(fid)) {
+      if (*entry == 0) {
+        *entry = claimant;
+        return;
+      }
+      if (*entry != kSpilled) {
+        spill_[fid].push_back(*entry);
+        *entry = kSpilled;
+      }
+    }
+    std::vector<std::uint64_t>& list = spill_[fid];
+    list.insert(std::upper_bound(list.begin(), list.end(), claimant),
+                claimant);
+  }
+
+  void remove(const Fid& fid, std::uint64_t claimant) {
+    if (std::uint64_t* entry = direct(fid);
+        entry != nullptr && *entry != kSpilled) {
+      if (*entry == claimant) *entry = 0;
+      return;
+    }
+    if (const auto it = spill_.find(fid); it != spill_.end()) {
+      std::erase(it->second, claimant);
     }
   }
-  for (auto& ost : cluster_.osts()) {
-    if (Inode* inode = ost.image.find_by_fid(fid)) {
-      return Located{&ost.image, inode, /*on_mdt=*/false, ost.index};
+
+ private:
+  /// Direct entry: 0 = no claimant, kSpilled = the claimants are in
+  /// spill_ (the fid was carried twice at some point).
+  static constexpr std::uint64_t kSpilled = ~std::uint64_t{0};
+
+  /// Entries [offset, offset + length) of entries_, indexed by oid.
+  struct Run {
+    std::uint64_t seq = 0;
+    std::size_t offset = 0;
+    std::size_t length = 0;
+  };
+
+  /// The direct entry of `fid`, or nullptr when it belongs in spill_.
+  [[nodiscard]] std::uint64_t* direct(const Fid& fid) {
+    if (fid.ver != 0) return nullptr;
+    for (Run& run : runs_) {
+      if (run.seq == fid.seq) {
+        return fid.oid < run.length ? &entries_[run.offset + fid.oid]
+                                    : nullptr;
+      }
+    }
+    return nullptr;
+  }
+
+  std::vector<Run> runs_;  ///< one per server, in position order
+  std::vector<std::uint64_t> entries_;
+  std::unordered_map<Fid, std::vector<std::uint64_t>, FidHash> spill_;
+};
+
+RepairExecutor::RepairExecutor(LustreCluster& cluster) : cluster_(cluster) {}
+
+RepairExecutor::~RepairExecutor() = default;
+
+LdiskfsImage& RepairExecutor::image_at(std::size_t server) {
+  return server < cluster_.mdt_count()
+             ? cluster_.mdt_server(server).image
+             : cluster_.osts()[server - cluster_.mdt_count()].image;
+}
+
+RepairExecutor::Located RepairExecutor::located(std::size_t server,
+                                                Inode& inode) {
+  if (server < cluster_.mdt_count()) {
+    return {&cluster_.mdt_server(server).image, &inode, true, 0, server};
+  }
+  OstServer& ost = cluster_.osts()[server - cluster_.mdt_count()];
+  return {&ost.image, &inode, false, ost.index, server};
+}
+
+RepairExecutor::ClaimantIndex& RepairExecutor::claimant_index() {
+  if (index_ == nullptr) {
+    index_ = std::make_unique<ClaimantIndex>(cluster_, quarantines_);
+  }
+  return *index_;
+}
+
+RepairExecutor::Located RepairExecutor::carrier(std::uint64_t claimant) {
+  const std::size_t server = claimant >> kServerShift;
+  return located(server, *image_at(server).find(claimant & kInoMask));
+}
+
+void RepairExecutor::set_lma(std::size_t server, Inode& inode,
+                             const Fid& fid) {
+  if (index_ != nullptr) index_->remove(inode.lma_fid, pack(server, inode.ino));
+  inode.lma_fid = fid;
+  if (index_ != nullptr) index_->add(fid, pack(server, inode.ino));
+}
+
+std::optional<RepairExecutor::Located> RepairExecutor::locate(const Fid& fid) {
+  const std::size_t servers = cluster_.mdt_count() + cluster_.osts().size();
+  for (std::size_t server = 0; server < servers; ++server) {
+    if (Inode* inode = image_at(server).find_by_fid(fid)) {
+      return located(server, *inode);
     }
   }
   // OI miss: the fid may be a corrupted LMA the OI never indexed.
-  for (std::size_t m = 0; m < cluster_.mdt_count(); ++m) {
-    LdiskfsImage& mdt = cluster_.mdt_server(m).image;
-    if (Inode* inode = mdt.find_by_fid_raw(fid)) {
-      return Located{&mdt, inode, /*on_mdt=*/true, 0};
-    }
-  }
-  for (auto& ost : cluster_.osts()) {
-    if (Inode* inode = ost.image.find_by_fid_raw(fid)) {
-      return Located{&ost.image, inode, /*on_mdt=*/false, ost.index};
-    }
-  }
-  return std::nullopt;
+  const auto carriers = claimant_index().of(fid);
+  if (carriers.empty()) return std::nullopt;
+  return carrier(carriers.front());
 }
 
 RepairOutcome RepairExecutor::apply(const RepairAction& action) {
+  return apply_all({action}).front();
+}
+
+std::vector<RepairOutcome> RepairExecutor::apply_all(const RepairPlan& plan) {
+  // The index lives for one call, so it never serves a cluster edited
+  // since it was built.
+  index_.reset();
+  quarantines_ = static_cast<std::size_t>(
+      std::count_if(plan.begin(), plan.end(), [](const RepairAction& action) {
+        return action.kind == RepairKind::kQuarantineLostFound;
+      }));
+  std::vector<RepairOutcome> outcomes;
+  outcomes.reserve(plan.size());
+  for (const auto& action : plan) outcomes.push_back(dispatch(action));
+  index_.reset();
+  return outcomes;
+}
+
+RepairOutcome RepairExecutor::dispatch(const RepairAction& action) {
   switch (action.kind) {
     case RepairKind::kOverwriteId: return overwrite_id(action);
     case RepairKind::kAddBackPointer: return add_back_pointer(action);
@@ -55,31 +217,14 @@ RepairOutcome RepairExecutor::apply(const RepairAction& action) {
   return failure(action, "unknown repair kind");
 }
 
-std::vector<RepairOutcome> RepairExecutor::apply_all(const RepairPlan& plan) {
-  std::vector<RepairOutcome> outcomes;
-  outcomes.reserve(plan.size());
-  for (const auto& action : plan) outcomes.push_back(apply(action));
-  return outcomes;
-}
-
 RepairOutcome RepairExecutor::overwrite_id(const RepairAction& action) {
   // Collect *every* object carrying the target id: under a Double
   // Reference id collision two physical inodes share it, and only the
   // one pointing back at `owner_hint` should be re-identified.
   std::vector<Located> candidates;
-  const auto collect = [&](LdiskfsImage& image, bool on_mdt,
-                           std::uint32_t ost_index) {
-    image.for_each_inode_mut([&](Inode& inode) {
-      if (inode.lma_fid == action.target) {
-        candidates.push_back(Located{&image, &inode, on_mdt, ost_index});
-      }
-    });
-  };
-  for (std::size_t m = 0; m < cluster_.mdt_count(); ++m) {
-    collect(cluster_.mdt_server(m).image, true, 0);
+  for (const std::uint64_t claimant : claimant_index().of(action.target)) {
+    candidates.push_back(carrier(claimant));
   }
-  for (auto& ost : cluster_.osts()) collect(ost.image, false, ost.index);
-
   if (candidates.empty()) {
     return failure(action, "no object carries id " + action.target.to_string());
   }
@@ -106,7 +251,7 @@ RepairOutcome RepairExecutor::overwrite_id(const RepairAction& action) {
   // inode, then index the corrected id.
   located->image->oi_erase(inode.lma_fid);
   located->image->oi_erase(action.target);
-  inode.lma_fid = action.value;
+  set_lma(located->server, inode, action.value);
   located->image->oi_insert(action.value, inode.ino);
   // If another object legitimately carries the old id (collision case),
   // make sure the OI still resolves it.
@@ -366,8 +511,11 @@ RepairOutcome RepairExecutor::remove_reference(const RepairAction& action) {
 
 RepairOutcome RepairExecutor::quarantine(const RepairAction& action) {
   // Ensure lost+found exists *before* taking inode references: creating
-  // it allocates MDT inodes, which may grow (and move) the inode table.
+  // it allocates MDT inodes, which may grow (and move) the inode table
+  // and which the claimant index has not seen, so the index is rebuilt.
+  const std::uint64_t mdt_inodes = cluster_.mdt_inodes_used();
   const Fid lost_found = cluster_.lost_found();
+  if (cluster_.mdt_inodes_used() != mdt_inodes) index_.reset();
   auto located = locate(action.target);
   if (!located) return failure(action, "target object not found");
   Inode& inode = *located->inode;
@@ -385,11 +533,13 @@ RepairOutcome RepairExecutor::quarantine(const RepairAction& action) {
       }
     }
     const std::string name = "lf_" + inode.lma_fid.to_string();
-    // Re-locate raw: lost_found() may have allocated (moving a table).
+    // Re-find by LMA, as a raw scan of the MDTs would: the first
+    // carrier, if it lives on an MDT.
     Inode* target = nullptr;
-    for (std::size_t m = 0; m < cluster_.mdt_count() && target == nullptr;
-         ++m) {
-      target = cluster_.mdt_server(m).image.find_by_fid_raw(action.target);
+    if (const auto carriers = claimant_index().of(action.target);
+        !carriers.empty()) {
+      const Located first = carrier(carriers.front());
+      if (first.on_mdt) target = first.inode;
     }
     if (target == nullptr) return failure(action, "object vanished");
     target->link_ea = {{lost_found, name}};
@@ -413,28 +563,21 @@ RepairOutcome RepairExecutor::quarantine(const RepairAction& action) {
   // fresh id from its OST's allocator; the other claimant keeps the
   // original id and can still pair with whatever references it.
   Fid stub_target = object_fid;
-  std::size_t claimants = 0;
-  const auto tally = [&](const Inode& other) {
-    if (other.lma_fid == object_fid) ++claimants;
-  };
-  for (std::size_t m = 0; m < cluster_.mdt_count(); ++m) {
-    cluster_.mdt_server(m).image.for_each_inode(tally);
-  }
-  for (const OstServer& ost : cluster_.osts()) {
-    ost.image.for_each_inode(tally);
-  }
+  const std::size_t claimants = claimant_index().of(object_fid).size();
   if (claimants > 1) {
     stub_target = cluster_.ost(ost_index).fids.next();
     if (located->image->find_by_fid(object_fid) == &inode) {
       located->image->oi_erase(object_fid);
     }
-    inode.lma_fid = stub_target;
+    set_lma(located->server, inode, stub_target);
     located->image->oi_insert(stub_target, inode.ino);
   }
 
   const std::string name = "lfobj_" + stub_target.to_string();
+  std::size_t lf_server = 0;
+  while (&cluster_.mdt_server(lf_server) != lf_home) ++lf_server;
   Inode& stub = lf_home->image.allocate(InodeType::kRegular);
-  stub.lma_fid = lf_home->fids.next();
+  set_lma(lf_server, stub, lf_home->fids.next());
   stub.link_ea.push_back({lost_found, name});
   stub.lov_ea = LovEa{cluster_.default_policy().stripe_size, 1,
                       {{stub_target, ost_index}}};

@@ -94,13 +94,6 @@ void LdiskfsImage::for_each_inode(
   }
 }
 
-void LdiskfsImage::for_each_inode_mut(
-    const std::function<void(Inode&)>& visit) {
-  for (auto& inode : slots_) {
-    if (inode.in_use) visit(inode);
-  }
-}
-
 }  // namespace faultyrank
 
 namespace {

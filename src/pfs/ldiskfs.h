@@ -48,14 +48,15 @@ class LdiskfsImage {
   void oi_insert(const Fid& fid, std::uint64_t ino);
   void oi_erase(const Fid& fid);
 
-  /// Full-table scan comparing live LMA fids (what a repair tool must
-  /// do when the OI may be stale). O(#inodes).
+  /// Full-table scan comparing live LMA fids, for a one-off lookup
+  /// when the OI may be stale. O(#inodes); a repair pass that asks
+  /// many such questions indexes LMA fids once instead
+  /// (RepairExecutor, DESIGN.md §5).
   [[nodiscard]] Inode* find_by_fid_raw(const Fid& fid);
   [[nodiscard]] const Inode* find_by_fid_raw(const Fid& fid) const;
 
   /// Raw scan: visits every in-use inode in block-group order.
   void for_each_inode(const std::function<void(const Inode&)>& visit) const;
-  void for_each_inode_mut(const std::function<void(Inode&)>& visit);
 
   /// Raw read of one inode-table slot (0-based, in block-group order);
   /// nullptr when the slot is free. The resilient scanner iterates

@@ -262,5 +262,38 @@ TEST(WireSchemaTest, DriftPassRejectsUnbumpedSchemaChange) {
   std::remove(path.c_str());
 }
 
+TEST(WireSchemaTest, DriftPassNamesAWidthCollisionInsteadOfAskingForABump) {
+  const TestCorpus before = analyze({{"a.cpp", kSymmetricPair}});
+  const std::string path = ::testing::TempDir() + "fr_collision_schemas.json";
+  {
+    std::FILE* out = std::fopen(path.c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    write_schemas(out, before.wire.entries());
+    std::fclose(out);
+  }
+  PassOptions options;
+  options.schemas_path = path;
+
+  // A second file declares `id`, the label of the writer's u64 loop
+  // element, with another width. No byte on the wire changed, but the
+  // element now computes as "?".
+  const TestCorpus after = analyze(
+      {{"a.cpp", kSymmetricPair},
+       {"b.cpp", "void count_things() {\n  std::uint32_t id = 0;\n}\n"}});
+  const std::vector<Violation> found =
+      run_schema_drift_pass(after.wire, after.files, options);
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].rule, "schema-drift");
+  const std::string& message = found[0].message;
+  EXPECT_NE(message.find("'id' is declared as u64 at a.cpp:8 and as u32 at "
+                         "b.cpp:2"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("rename"), std::string::npos) << message;
+  EXPECT_EQ(message.find("without a version bump"), std::string::npos)
+      << message;
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace fr_analysis

@@ -222,5 +222,173 @@ TEST(RepairExecutorTest, ApplyAllReportsPerActionOutcomes) {
   EXPECT_FALSE(outcomes[1].applied);
 }
 
+// The claimant index (DESIGN.md §5) answers every "who carries this
+// LMA" question within one apply_all. Each test below fails if the
+// index misses one of the executor's own edits, or outlives its call.
+
+RepairAction quarantine_of(const Fid& target) {
+  return {RepairKind::kQuarantineLostFound, target, kNullFid, kNullFid,
+          EdgeKind::kGeneric, kNullFid, ""};
+}
+
+RepairAction overwrite(const Fid& target, const Fid& value) {
+  return {RepairKind::kOverwriteId, target, value, kNullFid,
+          EdgeKind::kGeneric, kNullFid, ""};
+}
+
+bool starts_with(const std::string& text, const std::string& prefix) {
+  return text.rfind(prefix, 0) == 0;
+}
+
+TEST(RepairExecutorTest, SecondQuarantineOfSharedFidSeesReidentification) {
+  LustreCluster cluster(2, StripePolicy{64 * 1024, 1});
+  const Fid file_a = cluster.create_file(cluster.root(), "a", 1000);
+  const Fid file_c = cluster.create_file(cluster.root(), "c", 1000);
+  const LovEaEntry slot_a = cluster.stat(file_a)->lov_ea->stripes[0];
+  const LovEaEntry slot_c = cluster.stat(file_c)->lov_ea->stripes[0];
+  LdiskfsImage& image_a = cluster.ost(slot_a.ost_index).image;
+  LdiskfsImage& image_c = cluster.ost(slot_c.ost_index).image;
+  const std::uint64_t ino_a = image_a.find_by_fid(slot_a.stripe)->ino;
+  const std::uint64_t ino_c = image_c.find_by_fid(slot_c.stripe)->ino;
+  // a's object takes c's id; only c's OI entry still resolves it.
+  image_a.oi_erase(slot_a.stripe);
+  image_a.find(ino_a)->lma_fid = slot_c.stripe;
+
+  const auto outcomes = RepairExecutor(cluster).apply_all(
+      {quarantine_of(slot_c.stripe), quarantine_of(slot_c.stripe)});
+  ASSERT_EQ(outcomes.size(), 2u);
+  // The OI finds c's object first; two carriers, so it is re-identified.
+  EXPECT_TRUE(outcomes[0].applied);
+  EXPECT_TRUE(starts_with(outcomes[0].detail, "orphan re-identified as "))
+      << outcomes[0].detail;
+  // Now the OI misses and a's object is the one carrier left.
+  EXPECT_TRUE(outcomes[1].applied);
+  EXPECT_EQ(outcomes[1].detail, "orphan object stubbed into lost+found");
+  EXPECT_NE(image_c.find(ino_c)->lma_fid, slot_c.stripe);
+  const Inode* kept = image_a.find(ino_a);
+  EXPECT_EQ(kept->lma_fid, slot_c.stripe);
+  ASSERT_TRUE(kept->filter_fid.has_value());
+  const Inode* stub = cluster.stat(kept->filter_fid->parent);
+  ASSERT_NE(stub, nullptr);
+  EXPECT_EQ(stub->lov_ea->stripes[0].stripe, slot_c.stripe);
+}
+
+TEST(RepairExecutorTest, QuarantineAfterOverwriteCountsTheNewCarrier) {
+  LustreCluster cluster(2, StripePolicy{64 * 1024, 1});
+  const Fid file_a = cluster.create_file(cluster.root(), "a", 1000);
+  const Fid file_c = cluster.create_file(cluster.root(), "c", 1000);
+  const LovEaEntry slot_a = cluster.stat(file_a)->lov_ea->stripes[0];
+  const LovEaEntry slot_c = cluster.stat(file_c)->lov_ea->stripes[0];
+  // lost+found exists up front, so nothing in the plan rebuilds the
+  // index between the two actions.
+  (void)cluster.lost_found();
+
+  const auto outcomes = RepairExecutor(cluster).apply_all(
+      {overwrite(slot_a.stripe, slot_c.stripe), quarantine_of(slot_c.stripe)});
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_TRUE(outcomes[0].applied) << outcomes[0].detail;
+  // Two objects now carry c's id: the quarantined one must be
+  // re-identified, not stubbed under the shared id.
+  EXPECT_TRUE(outcomes[1].applied);
+  EXPECT_TRUE(starts_with(outcomes[1].detail, "orphan re-identified as "))
+      << outcomes[1].detail;
+}
+
+TEST(RepairExecutorTest, OiMissFindsTheObjectByItsLma) {
+  LustreCluster cluster(2, StripePolicy{64 * 1024, 1});
+  const Fid file = cluster.create_file(cluster.root(), "f", 1000);
+  const Fid other = cluster.create_file(cluster.root(), "g", 1000);
+  const LovEaEntry slot = cluster.stat(file)->lov_ea->stripes[0];
+  LdiskfsImage& image = cluster.ost(slot.ost_index).image;
+  Inode* object = image.find_by_fid(slot.stripe);
+  const std::uint64_t ino = object->ino;
+  // Rewrite the LMA behind the OI, and lose the point-back.
+  const Fid moved{slot.stripe.seq, slot.stripe.oid, 1};
+  image.oi_erase(slot.stripe);
+  object->lma_fid = moved;
+  object->filter_fid.reset();
+
+  const auto outcomes = RepairExecutor(cluster).apply_all({
+      {RepairKind::kAddBackPointer, moved, file, kNullFid,
+       EdgeKind::kObjParent, kNullFid, ""},
+      {RepairKind::kRelinkProperty, moved, other, file, EdgeKind::kObjParent,
+       kNullFid, ""},
+  });
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(outcomes[0].detail, "filter_fid restored");
+  EXPECT_EQ(outcomes[1].detail, "filter_fid relinked");
+  ASSERT_TRUE(image.find(ino)->filter_fid.has_value());
+  EXPECT_EQ(image.find(ino)->filter_fid->parent, other);
+}
+
+TEST(RepairExecutorTest, IndexFollowsLostFoundCreationOnTwoMdts) {
+  struct Namespace {
+    LustreCluster cluster{2, StripePolicy{64 * 1024, 1}, 2};
+    Fid dir;
+    Fid object_a;
+    Fid object_b;
+  };
+  const auto build = [] {
+    Namespace ns;
+    ns.dir = ns.cluster.mkdir(ns.cluster.root(), "d");
+    (void)ns.cluster.mkdir(ns.cluster.root(), "e");  // next mkdir: MDT 0
+    const Fid a = ns.cluster.create_file(ns.cluster.root(), "a", 1000);
+    const Fid b = ns.cluster.create_file(ns.cluster.root(), "b", 1000);
+    ns.object_a = ns.cluster.stat(a)->lov_ea->stripes[0].stripe;
+    ns.object_b = ns.cluster.stat(b)->lov_ea->stripes[0].stripe;
+    return ns;
+  };
+  // A twin learns the ids the plan will mint: the directories
+  // lost_found() creates, and the stub for a's object.
+  Namespace twin = build();
+  (void)RepairExecutor(twin.cluster)
+      .apply_all({overwrite(twin.dir, Fid{0x777, 1, 0}),
+                  quarantine_of(twin.object_a)});
+  const Fid dot_lustre = twin.cluster.resolve("/.lustre");
+  const Fid lost_found = twin.cluster.resolve("/.lustre/lost+found");
+  const Fid stub_a = twin.cluster.resolve("/.lustre/lost+found/lfobj_" +
+                                          twin.object_a.to_string());
+  // The new directories land on both MDTs, stubs on the second.
+  ASSERT_EQ(twin.cluster.mdt_for(dot_lustre), &twin.cluster.mdt_server(0));
+  ASSERT_EQ(twin.cluster.mdt_for(lost_found), &twin.cluster.mdt_server(1));
+
+  Namespace ns = build();
+  const auto outcomes = RepairExecutor(ns.cluster).apply_all({
+      overwrite(ns.dir, Fid{0x777, 1, 0}),  // builds the index
+      quarantine_of(ns.object_a),           // creates lost+found
+      overwrite(dot_lustre, Fid{0x777, 2, 0}),
+      quarantine_of(ns.object_b),
+      overwrite(stub_a, Fid{0x777, 3, 0}),
+  });
+  ASSERT_EQ(outcomes.size(), 5u);
+  for (const RepairOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.applied) << outcome.detail;
+  }
+  const Inode* renamed_dir = ns.cluster.stat(Fid{0x777, 2, 0});
+  ASSERT_NE(renamed_dir, nullptr);
+  EXPECT_EQ(renamed_dir->type, InodeType::kDirectory);
+  const Inode* renamed_stub =
+      ns.cluster.mdt_server(1).image.find_by_fid(Fid{0x777, 3, 0});
+  ASSERT_NE(renamed_stub, nullptr);
+  EXPECT_EQ(renamed_stub->lov_ea->stripes[0].stripe, ns.object_a);
+}
+
+TEST(RepairExecutorTest, EachCallSeesRawEditsMadeBeforeIt) {
+  LustreCluster cluster(2, StripePolicy{64 * 1024, 1});
+  const Fid file = cluster.create_file(cluster.root(), "f", 1000);
+  const Fid other = cluster.create_file(cluster.root(), "g", 1000);
+  RepairExecutor executor(cluster);
+  EXPECT_TRUE(executor.apply(overwrite(other, Fid{0x777, 1, 0})).applied);
+  // Between calls, move f's LMA behind the OI's back.
+  Inode* inode = cluster.mdt().image.find_by_fid(file);
+  cluster.mdt().image.oi_erase(file);
+  const Fid moved{0x777, 2, 0};
+  inode->lma_fid = moved;
+
+  const RepairOutcome outcome = executor.apply(overwrite(moved, file));
+  EXPECT_TRUE(outcome.applied) << outcome.detail;
+  EXPECT_EQ(cluster.mdt().image.find_by_fid(file), inode);
+}
+
 }  // namespace
 }  // namespace faultyrank

@@ -260,7 +260,7 @@ TEST(ImageFuzzTest, MismatchedInoSlotIsRejected) {
   // Forge an in-use inode whose recorded ino disagrees with its slot;
   // serialization preserves the lie, deserialization must refuse it.
   bool forged = false;
-  copy.mdt().image.for_each_inode_mut([&](Inode& inode) {
+  testing::for_each_inode_mut(copy.mdt().image, [&](Inode& inode) {
     if (forged || inode.ino < 4) return;
     inode.ino += 1;
     forged = true;

@@ -23,7 +23,7 @@ TEST(LfsckTest, DanglingLovEaSlotRecreatesEmptyObject) {
   LustreCluster cluster = testing::make_populated_cluster(50, 22);
   // Manually dangle one LOVEA slot (as if the object vanished).
   Fid victim_file;
-  cluster.mdt().image.for_each_inode_mut([&](Inode& inode) {
+  testing::for_each_inode_mut(cluster.mdt().image, [&](Inode& inode) {
     if (victim_file.is_null() && inode.type == InodeType::kRegular &&
         inode.lov_ea.has_value() && !inode.lov_ea->stripes.empty()) {
       victim_file = inode.lma_fid;
@@ -84,7 +84,7 @@ TEST(LfsckTest, DanglingDirentIsDropped) {
   LustreCluster cluster = testing::make_populated_cluster(50, 25);
   // Point one directory entry at a nonexistent fid.
   Fid dir_fid;
-  cluster.mdt().image.for_each_inode_mut([&](Inode& inode) {
+  testing::for_each_inode_mut(cluster.mdt().image, [&](Inode& inode) {
     if (dir_fid.is_null() && inode.type == InodeType::kDirectory &&
         !inode.dirents.empty() && inode.lma_fid != cluster.root()) {
       dir_fid = inode.lma_fid;
@@ -104,7 +104,7 @@ TEST(LfsckTest, MissingLinkEaRebuiltFromDirent) {
   LustreCluster cluster = testing::make_populated_cluster(50, 26);
   Fid child;
   Fid parent;
-  cluster.mdt().image.for_each_inode_mut([&](Inode& inode) {
+  testing::for_each_inode_mut(cluster.mdt().image, [&](Inode& inode) {
     if (child.is_null() && inode.type == InodeType::kRegular &&
         !inode.link_ea.empty()) {
       child = inode.lma_fid;

@@ -119,4 +119,13 @@ inline std::vector<GidEdge> make_random_multigraph(std::uint64_t seed,
   return edges;
 }
 
+/// Visits every in-use inode of `image` for in-place corruption, in
+/// slot order.
+template <typename Visit>
+void for_each_inode_mut(LdiskfsImage& image, Visit visit) {
+  for (std::uint64_t ino = 1; ino <= image.inode_slots(); ++ino) {
+    if (Inode* inode = image.find(ino)) visit(*inode);
+  }
+}
+
 }  // namespace faultyrank::testing

@@ -625,6 +625,41 @@ std::vector<Violation> run_schema_drift_pass(const WireModel& wire,
                                 entry.reader_schema != old.reader_schema;
     const bool version_changed = entry.version != old.version;
     if (schema_changed && !version_changed) {
+      // A name declared with a second width turns its put/get fields
+      // into "?" without any byte on the wire changing: still a
+      // finding, but one to fix by renaming, not by a version bump.
+      const std::vector<std::string> labels =
+          wire.wildcard_labels(entry, old);
+      std::string collisions;
+      for (const std::string& label : labels) {
+        const auto it = wire.ambiguous_names().find(label);
+        if (it == wire.ambiguous_names().end()) {
+          collisions.clear();
+          break;
+        }
+        if (!collisions.empty()) collisions += "; ";
+        collisions += "'" + label + "' is declared";
+        for (std::size_t i = 0; i < it->second.size(); ++i) {
+          const ScalarDecl& decl = it->second[i];
+          collisions += std::string(i == 0 ? " as " : " and as ") +
+                        decl.type + " at " + decl.file + ":" +
+                        std::to_string(decl.line);
+        }
+      }
+      if (!collisions.empty()) {
+        out.push_back(
+            {entry.file, line, "schema-drift",
+             "wire schema of '" + entry.format +
+                 "' differs from its committed fingerprint only where a "
+                 "width now computes as '?' (committed \"" +
+                 old.writer_schema + "\" -> computed \"" +
+                 entry.writer_schema + "\"): " + collisions +
+                 ", so the analyzer cannot tell which declaration the "
+                 "put/get names; rename one of them instead of bumping "
+                 "the version",
+             "schema-drift|" + entry.format + "|ambiguous"});
+        continue;
+      }
       const std::string where =
           entry.version.empty()
               ? "declare and bump a format-version constant in " + entry.file

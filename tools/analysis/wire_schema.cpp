@@ -55,10 +55,16 @@ std::string canon_scalar(const std::string& text) {
 /// return types). A name declared with two different widths collapses
 /// to "?" — the wildcard that compares equal to anything — because a
 /// token-level analyzer cannot tell which declaration an expression's
-/// trailing identifier refers to.
-std::map<std::string, std::string> build_type_table(
+/// trailing identifier refers to. `decls` keeps the first site of each
+/// width, so a collapse can be explained.
+struct NameType {
+  std::string type;
+  std::vector<ScalarDecl> decls;
+};
+
+std::map<std::string, NameType> build_type_table(
     const std::vector<SourceFile>& files) {
-  std::map<std::string, std::string> table;
+  std::map<std::string, NameType> table;
   for (const SourceFile& file : files) {
     const std::vector<Token>& toks = file.tokens;
     for (std::size_t k = 0; k + 1 < toks.size(); ++k) {
@@ -78,8 +84,13 @@ std::map<std::string, std::string> build_type_table(
            follower != "{")) {
         continue;
       }
-      auto [it, inserted] = table.emplace(toks[j].text, type);
-      if (!inserted && it->second != type) it->second = "?";
+      NameType& entry = table[toks[j].text];
+      const bool known_width =
+          std::any_of(entry.decls.begin(), entry.decls.end(),
+                      [&](const ScalarDecl& d) { return d.type == type; });
+      if (known_width) continue;
+      entry.decls.push_back({type, file.path, toks[j].line});
+      entry.type = entry.decls.size() == 1 ? type : "?";
     }
   }
   return table;
@@ -129,7 +140,7 @@ struct CountDef {
 struct Extractor {
   const SourceFile& file;
   const FunctionDef& def;
-  const std::map<std::string, std::string>& types;
+  const std::map<std::string, NameType>& types;
   std::set<std::string> writer_vars;
   std::set<std::string> reader_vars;
   std::map<std::string, CountDef> count_defs;
@@ -173,7 +184,7 @@ struct Extractor {
     const std::string label = trailing_label(begin, end);
     if (!label.empty()) {
       const auto it = types.find(label);
-      if (it != types.end()) return it->second;
+      if (it != types.end()) return it->second.type;
     }
     return "?";
   }
@@ -641,7 +652,10 @@ WireModel WireModel::build(const std::vector<SourceFile>& files,
                            const CallGraph& graph,
                            const IncludeGraph& includes) {
   WireModel model;
-  const std::map<std::string, std::string> types = build_type_table(files);
+  const std::map<std::string, NameType> types = build_type_table(files);
+  for (const auto& [name, entry] : types) {
+    if (entry.decls.size() > 1) model.ambiguous_[name] = entry.decls;
+  }
   model.version_consts_ = build_version_consts(files);
 
   std::map<std::string, const SourceFile*> by_path;
@@ -840,6 +854,90 @@ std::vector<SchemaEntry> WireModel::entries() const {
               return a.format < b.format;
             });
   return out;
+}
+
+namespace {
+
+/// signature()'s tokens, each with the field that produced it:
+/// scalars by width, "str", "bytes", "call:name", and "rep{"/"opt{" …
+/// "}" around a segment.
+void flatten(const std::vector<WireField>& fields,
+             std::vector<std::pair<std::string, const WireField*>>* out) {
+  for (const WireField& f : fields) {
+    switch (f.kind) {
+      case WireKind::kScalar: out->push_back({f.type, &f}); break;
+      case WireKind::kString: out->push_back({"str", &f}); break;
+      case WireKind::kBytes: out->push_back({"bytes", &f}); break;
+      case WireKind::kGroup:
+      case WireKind::kOptional:
+        out->push_back({f.kind == WireKind::kGroup ? "rep{" : "opt{", &f});
+        flatten(f.children, out);
+        out->push_back({"}", &f});
+        break;
+      case WireKind::kCall: out->push_back({"call:" + f.call_name, &f}); break;
+    }
+  }
+}
+
+/// A committed signature split into flatten()'s tokens.
+std::vector<std::string> split_signature(const std::string& signature) {
+  std::vector<std::string> out;
+  std::size_t k = 0;
+  while (k < signature.size()) {
+    if (signature[k] == ' ') {
+      ++k;
+    } else if (signature[k] == '}') {
+      out.emplace_back("}");
+      ++k;
+    } else if (signature.compare(k, 4, "rep{") == 0 ||
+               signature.compare(k, 4, "opt{") == 0) {
+      out.push_back(signature.substr(k, 4));
+      k += 4;
+    } else {
+      const std::size_t end = signature.find_first_of(" }", k);
+      out.push_back(signature.substr(k, end - k));
+      k = end == std::string::npos ? signature.size() : end;
+    }
+  }
+  return out;
+}
+
+/// Adds the labels of `fields` that read "?" where `committed` reads
+/// anything else; false when some other token differs.
+bool collect_wildcards(const std::vector<WireField>& fields,
+                       const std::string& committed,
+                       std::set<std::string>* labels) {
+  std::vector<std::pair<std::string, const WireField*>> computed;
+  flatten(fields, &computed);
+  const std::vector<std::string> old = split_signature(committed);
+  if (old.size() != computed.size()) return false;
+  for (std::size_t i = 0; i < old.size(); ++i) {
+    if (old[i] == computed[i].first) continue;
+    if (computed[i].first != "?") return false;
+    labels->insert(computed[i].second->label);
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<std::string> WireModel::wildcard_labels(
+    const SchemaEntry& entry, const SchemaEntry& committed) const {
+  const WireFn* writer = nullptr;
+  const WireFn* reader = nullptr;
+  for (const WireFn& fn : fns_) {
+    if (fn.id == entry.writer_id && writer == nullptr) writer = &fn;
+    if (fn.id == entry.reader_id && reader == nullptr) reader = &fn;
+  }
+  std::set<std::string> labels;
+  if (writer == nullptr || reader == nullptr ||
+      !collect_wildcards(writer->expanded, committed.writer_schema,
+                         &labels) ||
+      !collect_wildcards(reader->expanded, committed.reader_schema,
+                         &labels)) {
+    return {};
+  }
+  return {labels.begin(), labels.end()};
 }
 
 WireMismatch WireModel::compare_pair(const WirePair& pair) const {

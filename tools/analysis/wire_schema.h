@@ -127,6 +127,13 @@ struct WireMismatch {
   std::size_t reader_line = 0;
 };
 
+/// One declaration of a fixed-width scalar name.
+struct ScalarDecl {
+  std::string type;  ///< canonical width code
+  std::string file;
+  std::size_t line = 0;
+};
+
 /// One committed schema fingerprint (tools/analysis/wire_schemas.json).
 struct SchemaEntry {
   std::string format;         ///< pair key: the writer's function id
@@ -166,6 +173,20 @@ class WireModel {
   /// Schema fingerprints computed from this corpus, sorted by format.
   [[nodiscard]] std::vector<SchemaEntry> entries() const;
 
+  /// Names declared with two or more widths somewhere in the corpus,
+  /// with the first site of each width. A put/get labelled with one
+  /// computes as "?".
+  [[nodiscard]] const std::map<std::string, std::vector<ScalarDecl>>&
+  ambiguous_names() const noexcept {
+    return ambiguous_;
+  }
+
+  /// If `entry`'s computed schemas differ from `committed` only at
+  /// scalars that compute as "?", the labels of those scalars (sorted,
+  /// each once); empty otherwise.
+  [[nodiscard]] std::vector<std::string> wildcard_labels(
+      const SchemaEntry& entry, const SchemaEntry& committed) const;
+
   /// Structural comparison of a pair's expanded sequences; stops at the
   /// first divergence. An optional segment on one side may absorb the
   /// same fields spelled unconditionally on the other (FRCP v1/v2
@@ -177,6 +198,7 @@ class WireModel {
   std::vector<WirePair> pairs_;
   std::vector<WireCountUse> unchecked_;
   std::map<std::string, std::string> version_consts_;  // file → "k...=v ..."
+  std::map<std::string, std::vector<ScalarDecl>> ambiguous_;
   std::set<std::pair<std::string, std::string>> pair_ids_;  // (wid, rid)
 };
 
