@@ -27,8 +27,8 @@ run cmake --build --preset default -j "${JOBS}"
 run ctest --preset default -j "${JOBS}" --output-on-failure
 
 # 2. ThreadSanitizer over the concurrency-labelled suite (pool torture,
-#    bounded-queue edge cases, parallel-aggregation determinism). The
-#    test preset pins
+#    parallel-aggregation determinism, an interrupted pooled scan
+#    unwinding while its task groups drain). The test preset pins
 #    TSAN_OPTIONS=detect_deadlocks=1:second_deadlock_stack=1:halt_on_error=1,
 #    so a lock-order inversion fails the test that produced it, and the
 #    lock_order_control.* entries prove TSan still reports a seeded

@@ -7,18 +7,16 @@
 // remaps 128-bit FIDs to dense GIDs, and builds the forward + reversed
 // CSR with the pairing analysis — everything FaultyRank needs.
 //
-// Two entry points:
-//   * aggregate()          — batch: takes a finished cluster scan.
-//   * scan_and_aggregate() — streaming: runs the scanners itself and
-//     decodes each partial as its scanner finishes (bounded-queue
-//     handoff), overlapping wire decode with the remaining scans. The
-//     produced graph and virtual-time numbers are identical to the
-//     batch path; only wall time improves.
+// Two entry points, one decode + merge path:
+//   * aggregate()          — takes a finished cluster scan.
+//   * scan_and_aggregate() — runs the scanners itself (scan_servers, the
+//     loop scan_cluster uses), checkpointing each completed scan, then
+//     hands the whole scan to aggregate().
 //
-// Virtual-time attribution is pipelined in both paths (it is pure
-// arithmetic over the per-scanner sim times): transfers serialize on
-// the MDS ingress link, but each starts as soon as its scanner
-// finishes, not after the slowest scanner.
+// Virtual-time attribution is pipelined (pure arithmetic over the
+// per-scanner sim times): transfers serialize on the MDS ingress link,
+// but each starts as soon as its scanner finishes, not after the
+// slowest scanner.
 #pragma once
 
 #include <cstdint>
@@ -75,9 +73,7 @@ struct AggregationResult {
   /// the stage ends when both the slowest scanner and the last transfer
   /// are done. Always ≤ slowest-scan + sim_transfer_seconds.
   double sim_pipeline_seconds = 0.0;
-  /// Measured time for decode + merge + FID remap + CSR build. In the
-  /// streaming path, only the portion that could not be hidden behind
-  /// the scans (measured from the moment the last scanner finished).
+  /// Measured time for decode + merge + FID remap + CSR build.
   double wall_seconds = 0.0;
   std::uint64_t transferred_bytes = 0;
   /// What fraction of servers contributed, which FID spaces were lost
@@ -113,7 +109,7 @@ struct PipelineConfig {
   /// PipelineError naming all failed servers.
   bool allow_degraded = true;
   /// Non-empty: load this checkpoint if present (resuming completed
-  /// scans), and save after completed scans. The write is atomic.
+  /// scans), and save after each completed scan. The write is atomic.
   std::string checkpoint_path;
   /// Cluster-content fingerprint stamped into saved checkpoints (e.g.
   /// the changelog cursor at scan start). A checkpoint on disk whose
@@ -122,23 +118,16 @@ struct PipelineConfig {
   /// merge two points in time into one graph (phantom findings at every
   /// edge into the stale region). See ScanCheckpoint::epoch.
   std::uint64_t checkpoint_epoch = 0;
-  /// Save after every N newly completed scans (the final state is
-  /// always flushed).
-  std::size_t checkpoint_every = 1;
   /// Test hook: after this many newly completed scans, flush the
   /// checkpoint and throw PipelineInterrupted — a deterministic stand-in
   /// for killing the aggregator mid-run.
   std::size_t interrupt_after_servers = std::numeric_limits<std::size_t>::max();
 };
 
-/// Streaming scan→aggregate pipeline (paper §IV-B overlap).
+/// Scan→aggregate pipeline (paper §IV-B).
 struct PipelineResult {
   ClusterScan scan;
   AggregationResult agg;
-  /// Measured wall time of the whole overlapped stage (scans + decode +
-  /// merge); compare against scan.wall_seconds + agg.wall_seconds of
-  /// the barriered path to see the overlap win.
-  double wall_seconds = 0.0;
   /// Labels of servers whose scan failed (crash, deadline, or an
   /// unexpected error), in slot order. Empty on a full-coverage run.
   std::vector<std::string> failed_servers;
@@ -151,18 +140,19 @@ struct PipelineResult {
   bool checkpoint_discarded = false;
 };
 
-/// Scans every server and aggregates, streaming each finished partial
-/// into the decoder through a bounded queue instead of barriering on
-/// the full cluster scan. Falls back to the sequential scan + batch
-/// aggregate when the pool is null or single-threaded; the graph and
-/// all virtual-time numbers are identical either way.
+/// Scans every server not restored from the checkpoint (on the pool,
+/// one task group per server), then aggregates the whole scan with
+/// aggregate(). The graph and all virtual-time numbers are identical
+/// for any pool size.
 ///
 /// Fault tolerance: a server crash or blown deadline never aborts the
 /// run in degraded mode — the survivors' partials form the unified
 /// graph and agg.coverage records exactly what was lost. With a
-/// checkpoint path, completed scans persist across interruptions, and
-/// a resumed run reproduces the uninterrupted run's ranks bit for bit
-/// (scanners, fault schedules and aggregation are all deterministic).
+/// checkpoint path, completed scans persist across interruptions in
+/// slot order, so an interrupted run leaves the same checkpoint with or
+/// without a pool, and a resumed run reproduces the uninterrupted run's
+/// ranks bit for bit (scanners, fault schedules and aggregation are all
+/// deterministic).
 [[nodiscard]] PipelineResult scan_and_aggregate(const LustreCluster& cluster,
                                                 const PipelineConfig& config);
 

@@ -13,26 +13,19 @@ namespace {
 CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   CheckerResult result;
 
-  // Streaming pipeline: scanners hand each finished partial straight to
-  // the decoder, and the merge itself runs on the pool. Graph and sim
-  // numbers are identical to the barriered serial path. Degraded mode:
-  // with a fault schedule, a crashed server shrinks coverage rather
-  // than aborting the check.
+  // Scans and decode + merge run on the pool; graph and sim numbers are
+  // identical to a serial run. Degraded mode: with a fault schedule, a
+  // crashed server shrinks coverage rather than aborting the check.
   PipelineConfig pipeline_config;
   pipeline_config.pool = config.pool;
   pipeline_config.mdt_disk = config.mdt_disk;
   pipeline_config.ost_disk = config.ost_disk;
   pipeline_config.net = config.net;
   pipeline_config.faults = config.faults;
-  pipeline_config.retry = config.retry;
-  pipeline_config.checkpoint_path = config.checkpoint_path;
-  pipeline_config.checkpoint_epoch = config.checkpoint_epoch;
   const PipelineResult pipeline = scan_and_aggregate(cluster, pipeline_config);
   const ClusterScan& scan = pipeline.scan;
   result.coverage = pipeline.agg.coverage;
   result.failed_servers = pipeline.failed_servers;
-  result.servers_resumed = pipeline.servers_resumed;
-  result.checkpoint_discarded = pipeline.checkpoint_discarded;
   const AggregationResult& aggregated = pipeline.agg;
   result.timings.t_scan_sim = scan.sim_seconds;
   result.timings.t_scan_wall = scan.wall_seconds;
@@ -76,9 +69,6 @@ CheckerResult run_checker(LustreCluster& cluster, const CheckerConfig& config) {
       CheckerConfig verify_config = config;
       verify_config.apply_repairs = false;
       verify_config.verify_after_repair = false;
-      // The repairs changed the cluster; resuming the re-check from the
-      // pre-repair scan checkpoint would verify stale state.
-      verify_config.checkpoint_path.clear();
       const CheckerResult recheck = run_pass(cluster, verify_config);
       result.verified_consistent = recheck.report.consistent();
     }

@@ -42,14 +42,6 @@ struct CheckerConfig {
   /// crashed server reduces coverage instead of aborting, and findings
   /// whose evidence was lost come back unverifiable.
   OpFaultSchedule* faults = nullptr;
-  RetryPolicy retry;
-  /// Non-empty: checkpoint completed scans here and resume from an
-  /// existing checkpoint (see PipelineConfig).
-  std::string checkpoint_path;
-  /// Cluster-content fingerprint for checkpoint staleness detection
-  /// (PipelineConfig::checkpoint_epoch): a checkpoint written under a
-  /// different epoch is discarded instead of resumed.
-  std::uint64_t checkpoint_epoch = 0;
 };
 
 struct CheckerTimings {
@@ -60,7 +52,7 @@ struct CheckerTimings {
   /// (transfers stream to the MDS as each scanner completes, so most of
   /// the wire time overlaps scanning — DESIGN.md §7).
   double t_graph_sim = 0.0;
-  double t_graph_wall = 0.0;  ///< merge + remap + CSR build (measured)
+  double t_graph_wall = 0.0;  ///< decode + merge + remap + CSR build (measured)
   double t_fr_wall = 0.0;     ///< iterations + detection (measured)
 
   /// End-to-end virtual seconds: virtual I/O legs plus measured compute
@@ -97,11 +89,6 @@ struct CheckerResult {
   CoverageInfo coverage;
   /// Servers whose scan failed (crash or deadline), in slot order.
   std::vector<std::string> failed_servers;
-  /// Slots restored from the checkpoint instead of rescanned.
-  std::size_t servers_resumed = 0;
-  /// An on-disk checkpoint was ignored because its epoch did not match
-  /// (the cluster mutated since it was written).
-  bool checkpoint_discarded = false;
 };
 
 /// Runs the complete pipeline against `cluster`.

@@ -1,6 +1,8 @@
 #include "scanner/scanner.h"
 
 #include <algorithm>
+#include <deque>
+#include <numeric>
 
 #include "common/timer.h"
 
@@ -259,53 +261,70 @@ ScanResult scan_ost(const OstServer& ost, const DiskModel& disk,
   return result;
 }
 
-ClusterScan scan_cluster(const LustreCluster& cluster, ThreadPool* pool,
-                         const DiskModel& mdt_disk, const DiskModel& ost_disk,
-                         OpFaultSchedule* op_faults, const RetryPolicy& retry) {
-  WallTimer timer;
-  ClusterScan scan;
+const std::string& server_label(const LustreCluster& cluster,
+                                std::size_t slot) {
   const std::size_t mdt_count = cluster.mdt_count();
-  scan.results.resize(mdt_count + cluster.osts().size());
+  return slot < mdt_count ? cluster.mdt_server(slot).image.label()
+                          : cluster.osts()[slot - mdt_count].image.label();
+}
+
+void scan_servers(const LustreCluster& cluster,
+                  std::span<const std::size_t> slots, ClusterScan& scan,
+                  ThreadPool* pool, const DiskModel& mdt_disk,
+                  const DiskModel& ost_disk, OpFaultSchedule* op_faults,
+                  const RetryPolicy& retry,
+                  const std::function<void(std::size_t)>& on_scanned) {
+  WallTimer timer;
+  const std::size_t mdt_count = cluster.mdt_count();
 
   // Resolve every server's schedule up front, on this thread: the scan
   // tasks then touch only their own ServerFaultSchedule, which is
   // single-writer by construction.
   std::vector<ServerFaultSchedule*> schedules(scan.results.size(), nullptr);
   if (op_faults != nullptr) {
-    for (std::size_t m = 0; m < mdt_count; ++m) {
-      schedules[m] = &op_faults->server(cluster.mdt_server(m).image.label());
-    }
-    for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-      schedules[mdt_count + i] =
-          &op_faults->server(cluster.osts()[i].image.label());
+    for (const std::size_t slot : slots) {
+      schedules[slot] = &op_faults->server(server_label(cluster, slot));
     }
   }
 
+  // Operational faults come back as status kFailed from the scanner
+  // itself; anything unexpected is captured the same way, so one bad
+  // server cannot discard the others' completed work.
+  const auto scan_slot = [&](std::size_t slot) {
+    try {
+      scan.results[slot] =
+          slot < mdt_count
+              ? scan_mdt(cluster.mdt_server(slot), mdt_disk, schedules[slot],
+                         retry)
+              : scan_ost(cluster.osts()[slot - mdt_count], ost_disk,
+                         schedules[slot], retry);
+    } catch (const std::exception& error) {
+      ScanResult failed;
+      failed.graph.server = server_label(cluster, slot);
+      failed.status = ScanStatus::kFailed;
+      failed.error = error.what();
+      scan.results[slot] = std::move(failed);
+    }
+  };
+
   if (pool != nullptr && pool->size() > 1) {
-    // Own task group: waiting here does not observe unrelated work
-    // other submitters may have in flight on a shared pool.
-    TaskGroup group(*pool);
-    for (std::size_t m = 0; m < mdt_count; ++m) {
-      group.submit([&, m] {
-        scan.results[m] =
-            scan_mdt(cluster.mdt_server(m), mdt_disk, schedules[m], retry);
-      });
+    // One group per server, waited on in `slots` order, so on_scanned
+    // sees the serial loop's sequence whichever scan finishes first.
+    // Own groups also keep this wait from observing unrelated work on a
+    // shared pool. If on_scanned throws, the groups drain on unwind.
+    std::deque<TaskGroup> groups;
+    for (const std::size_t slot : slots) {
+      groups.emplace_back(*pool).submit(
+          [&scan_slot, slot] { scan_slot(slot); });
     }
-    for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-      group.submit([&, i, mdt_count] {
-        scan.results[mdt_count + i] = scan_ost(
-            cluster.osts()[i], ost_disk, schedules[mdt_count + i], retry);
-      });
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      groups[k].wait();
+      if (on_scanned) on_scanned(slots[k]);
     }
-    group.wait();
   } else {
-    for (std::size_t m = 0; m < mdt_count; ++m) {
-      scan.results[m] =
-          scan_mdt(cluster.mdt_server(m), mdt_disk, schedules[m], retry);
-    }
-    for (std::size_t i = 0; i < cluster.osts().size(); ++i) {
-      scan.results[mdt_count + i] =
-          scan_ost(cluster.osts()[i], ost_disk, schedules[mdt_count + i], retry);
+    for (const std::size_t slot : slots) {
+      scan_slot(slot);
+      if (on_scanned) on_scanned(slot);
     }
   }
 
@@ -316,6 +335,17 @@ ClusterScan scan_cluster(const LustreCluster& cluster, ThreadPool* pool,
     scan.inodes_scanned += result.inodes_scanned;
   }
   scan.wall_seconds = timer.seconds();
+}
+
+ClusterScan scan_cluster(const LustreCluster& cluster, ThreadPool* pool,
+                         const DiskModel& mdt_disk, const DiskModel& ost_disk,
+                         OpFaultSchedule* op_faults, const RetryPolicy& retry) {
+  ClusterScan scan;
+  scan.results.resize(cluster.mdt_count() + cluster.osts().size());
+  std::vector<std::size_t> slots(scan.results.size());
+  std::iota(slots.begin(), slots.end(), std::size_t{0});
+  scan_servers(cluster, slots, scan, pool, mdt_disk, ost_disk, op_faults,
+               retry);
   return scan;
 }
 

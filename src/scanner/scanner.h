@@ -18,7 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,10 +97,31 @@ struct ClusterScan {
   std::uint64_t inodes_scanned = 0;
 };
 
-/// Runs every per-server scanner, on `pool` if provided (one task per
-/// server, mirroring the paper's concurrent scanners). Never throws on
-/// operational faults: a crashed server is reported as a kFailed slot
-/// in `results`, and the surviving scans are kept.
+/// Label of the server in `slot` of cluster order (MDTs, then OSTs).
+[[nodiscard]] const std::string& server_label(const LustreCluster& cluster,
+                                              std::size_t slot);
+
+/// The per-server scan loop. Scans each server in `slots` (cluster
+/// order) into scan.results[slot]: looks up its fault schedule on this
+/// thread, dispatches to scan_mdt or scan_ost, and records a scan that
+/// throws as a kFailed slot. With a pool each server runs in its own
+/// TaskGroup. As each slot completes, in `slots` order, on_scanned(slot)
+/// runs on this thread; if it throws, scans still in flight drain
+/// before the exception propagates. Then rolls every slot of
+/// scan.results up into sim_seconds and inodes_scanned, and sets
+/// wall_seconds to this call's measured time.
+void scan_servers(const LustreCluster& cluster,
+                  std::span<const std::size_t> slots, ClusterScan& scan,
+                  ThreadPool* pool, const DiskModel& mdt_disk,
+                  const DiskModel& ost_disk, OpFaultSchedule* op_faults,
+                  const RetryPolicy& retry,
+                  const std::function<void(std::size_t)>& on_scanned = {});
+
+/// Runs every per-server scanner through scan_servers, on `pool` if
+/// provided (one task group per server, mirroring the paper's
+/// concurrent scanners). Never throws on a server's failure: a crashed server is
+/// reported as a kFailed slot in `results`, and the surviving scans are
+/// kept.
 [[nodiscard]] ClusterScan scan_cluster(const LustreCluster& cluster,
                                        ThreadPool* pool = nullptr,
                                        const DiskModel& mdt_disk = DiskModel::ssd(),

@@ -6,9 +6,14 @@
 // are also checked against a per-edge has_edge pairing oracle.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <filesystem>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "aggregator/aggregator.h"
+#include "aggregator/checkpoint.h"
 #include "common/thread_pool.h"
 #include "faults/injector.h"
 #include "graph/unified_graph.h"
@@ -200,6 +205,48 @@ TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
                    streamed.agg.sim_pipeline_seconds);
   EXPECT_DOUBLE_EQ(scan.sim_seconds, streamed.scan.sim_seconds);
   EXPECT_EQ(scan.inodes_scanned, streamed.scan.inodes_scanned);
+}
+
+TEST(ParallelAggregateTest, InterruptedPoolRunCheckpointsTheSerialSlots) {
+  // Interrupted after 2 scans, a pooled run must leave the serial run's
+  // checkpoint: slots 0 and 1, whichever scans finish first. Scans still
+  // in flight drain while PipelineInterrupted unwinds.
+  const LustreCluster cluster = testing::make_populated_cluster(150, 96, 4);
+  const auto interrupted = [&cluster](std::size_t threads) {
+    const std::string path = ::testing::TempDir() + "/ckpt_interrupt_" +
+                             std::to_string(threads) + ".frcp";
+    std::filesystem::remove(path);
+    std::optional<ThreadPool> pool;
+    PipelineConfig config;
+    if (threads > 0) config.pool = &pool.emplace(threads);
+    config.checkpoint_path = path;
+    config.interrupt_after_servers = 2;
+    EXPECT_THROW((void)scan_and_aggregate(cluster, config),
+                 PipelineInterrupted);
+    ScanCheckpoint checkpoint = load_checkpoint(path);
+    std::filesystem::remove(path);
+    return checkpoint;
+  };
+  const ScanCheckpoint serial = interrupted(0);
+  ASSERT_EQ(serial.results.size(), 5u);
+  for (std::size_t slot = 0; slot < serial.results.size(); ++slot) {
+    EXPECT_EQ(serial.results[slot].has_value(), slot < 2) << "slot " << slot;
+  }
+  for (const std::size_t threads : {2u, 4u}) {
+    const ScanCheckpoint pooled = interrupted(threads);
+    ASSERT_EQ(pooled.results.size(), serial.results.size());
+    for (std::size_t slot = 0; slot < serial.results.size(); ++slot) {
+      ASSERT_EQ(pooled.results[slot].has_value(),
+                serial.results[slot].has_value())
+          << threads << " threads, slot " << slot;
+      if (!serial.results[slot].has_value()) continue;
+      EXPECT_EQ(pooled.results[slot]->graph.serialize(),
+                serial.results[slot]->graph.serialize());
+      EXPECT_EQ(
+          std::bit_cast<std::uint64_t>(pooled.results[slot]->sim_seconds),
+          std::bit_cast<std::uint64_t>(serial.results[slot]->sim_seconds));
+    }
+  }
 }
 
 TEST(ParallelAggregateTest, PipelinedSimTimeOverlapsTransfers) {

@@ -239,6 +239,38 @@ TEST(DetectorTest, RepairPlanDeduplicatesIdenticalActions) {
   EXPECT_EQ(overwrite_actions, 1u);
 }
 
+TEST(DetectorTest, RepairPlanCollapsesWritesAndDropsReattachedQuarantines) {
+  const Fid a{1, 1, 0}, b{1, 2, 0}, c{1, 3, 0}, d{1, 4, 0}, orphan{1, 5, 0};
+  const auto finding = [](RepairAction repair) {
+    Finding f;
+    f.repair = std::move(repair);
+    return f;
+  };
+  DetectionReport report;
+  report.findings = {
+      finding({RepairKind::kOverwriteId, a, b}),
+      // Same id overwrite: its stale and edge_kind do not name a slot.
+      finding({RepairKind::kOverwriteId, a, b, c, EdgeKind::kLinkEa}),
+      finding({RepairKind::kRelinkProperty, c, d, a, EdgeKind::kLinkEa}),
+      // Differs only in the stale reference: a second write.
+      finding({RepairKind::kRelinkProperty, c, d, b, EdgeKind::kLinkEa}),
+      finding({RepairKind::kRelinkProperty, c, d, a, EdgeKind::kLinkEa}),
+      finding({}),
+      // d is re-attached by the relinks above, so it stays out of
+      // lost+found; the orphan goes there once.
+      finding({RepairKind::kQuarantineLostFound, d}),
+      finding({RepairKind::kQuarantineLostFound, orphan}),
+      finding({RepairKind::kQuarantineLostFound, orphan, kNullFid, kNullFid,
+               EdgeKind::kDirent}),
+  };
+  const RepairPlan plan = report.repair_plan();
+  ASSERT_EQ(plan.size(), 4u);
+  EXPECT_EQ(plan[0], report.findings[0].repair);
+  EXPECT_EQ(plan[1], report.findings[2].repair);
+  EXPECT_EQ(plan[2], report.findings[3].repair);
+  EXPECT_EQ(plan[3], report.findings[7].repair);
+}
+
 TEST(DetectorTest, ThresholdZeroConvictsNothingOnAmbiguousGraph) {
   // A graph with no decisive structural signal: a↔root paired, a→b
   // unanswered, while b points at a phantom endorsed by *two* objects

@@ -136,7 +136,7 @@ TEST(CheckpointResumeTest, ResumedRunReproducesRanksBitForBit) {
   ASSERT_TRUE(std::filesystem::exists(path));
 
   // Resumed run: fresh process state (new schedule), same checkpoint.
-  // Runs on a pool to exercise the streaming prefill path as well.
+  // Runs on a pool to exercise the pooled scan of the remaining slots.
   PipelineResult resumed;
   {
     OpFaultSchedule faults(fault_config);

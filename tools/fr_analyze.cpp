@@ -274,7 +274,8 @@ int run_stats(const std::vector<std::string>& roots,
 // ---------------------------------------------------------------------
 // --coverage: annotated-vs-bare wrapper mutexes per directory, plus the
 // baseline regression gate (a previously annotated mutex must never
-// lose its last FR_GUARDED_BY).
+// lose its last FR_GUARDED_BY, and every entry must name a mutex that
+// still exists).
 // ---------------------------------------------------------------------
 
 std::string dir_of(const std::string& path) {
@@ -341,8 +342,11 @@ int run_coverage(const std::vector<std::string>& roots,
     }
     std::string id;
     if (!(in >> id)) break;
+    bool found = false;
     for (const MutexDecl& decl : corpus.symbols.mutexes()) {
-      if (decl.id == id && decl.wrapper && decl.guarded_refs == 0) {
+      if (decl.id != id || !decl.wrapper) continue;
+      found = true;
+      if (decl.guarded_refs == 0) {
         ++regressions;
         std::fprintf(stderr,
                      "%s:%zu: [coverage] mutex '%s' lost its last "
@@ -350,6 +354,13 @@ int run_coverage(const std::vector<std::string>& roots,
                      "checks anything against it\n",
                      decl.file.c_str(), decl.line, id.c_str());
       }
+    }
+    if (!found) {
+      ++regressions;
+      std::fprintf(stderr,
+                   "%s: [coverage] stale entry: mutex '%s' no longer exists "
+                   "— remove it, or rename it with the mutex\n",
+                   baseline_path.c_str(), id.c_str());
     }
   }
   std::fprintf(stderr, "fr_analyze coverage: %zu regression(s)\n", regressions);
