@@ -115,13 +115,12 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
   PipelineResult out;
   ClusterScan& scan = out.scan;
 
-  const std::size_t mdt_count = cluster.mdt_count();
-  const std::size_t server_count = mdt_count + cluster.osts().size();
+  const std::size_t server_count = cluster.server_count();
   scan.results.resize(server_count);
 
   std::vector<std::string> labels(server_count);
   for (std::size_t i = 0; i < server_count; ++i) {
-    labels[i] = server_label(cluster, i);
+    labels[i] = cluster.image(i).label();
   }
 
   // Checkpoint prefill: slots completed by a previous (interrupted) run
@@ -209,9 +208,7 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
   // failed servers owned.
   for (std::size_t i = 0; i < server_count; ++i) {
     if (scan.results[i].status != ScanStatus::kFailed) continue;
-    out.agg.coverage.add_lost_sequence(
-        i < mdt_count ? cluster.mdt_server(i).fids.seq()
-                      : cluster.osts()[i - mdt_count].fids.seq());
+    out.agg.coverage.add_lost_sequence(cluster.fids(i).seq());
   }
   return out;
 }

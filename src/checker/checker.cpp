@@ -28,7 +28,6 @@ CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   result.failed_servers = pipeline.failed_servers;
   const AggregationResult& aggregated = pipeline.agg;
   result.timings.t_scan_sim = scan.sim_seconds;
-  result.timings.t_scan_wall = scan.wall_seconds;
   result.inodes_scanned = scan.inodes_scanned;
 
   result.timings.t_graph_sim =

@@ -46,7 +46,6 @@ struct CheckerConfig {
 
 struct CheckerTimings {
   double t_scan_sim = 0.0;
-  double t_scan_wall = 0.0;
   /// Virtual transfer time that could NOT be hidden behind the scans:
   /// the pipelined scan→transfer finish time minus the slowest scanner
   /// (transfers stream to the MDS as each scanner completes, so most of
@@ -59,9 +58,6 @@ struct CheckerTimings {
   /// (compute is real on both the paper's testbed and here).
   [[nodiscard]] double total_sim() const noexcept {
     return t_scan_sim + t_graph_sim + t_graph_wall + t_fr_wall;
-  }
-  [[nodiscard]] double total_wall() const noexcept {
-    return t_scan_wall + t_graph_wall + t_fr_wall;
   }
 };
 

@@ -37,36 +37,31 @@ std::uint64_t pack(std::size_t server, std::uint64_t ino) {
 /// live in a small hash map.
 class RepairExecutor::ClaimantIndex {
  public:
-  ClaimantIndex(LustreCluster& cluster, std::size_t headroom) {
-    const auto each_server = [&](auto&& visit) {
-      for (std::size_t m = 0; m < cluster.mdt_count(); ++m) {
-        visit(cluster.mdt_server(m).image, cluster.mdt_server(m).fids);
-      }
-      for (OstServer& ost : cluster.osts()) visit(ost.image, ost.fids);
-    };
+  ClaimantIndex(const LustreCluster& cluster, std::size_t headroom) {
+    const std::size_t servers = cluster.server_count();
     std::uint64_t table_slots = 0;
-    each_server([&](const LdiskfsImage& image, const FidAllocator&) {
-      table_slots += image.inode_slots();
-    });
+    for (std::size_t server = 0; server < servers; ++server) {
+      table_slots += cluster.image(server).inode_slots();
+    }
     std::size_t run_end = 0;
-    each_server([&](const LdiskfsImage&, const FidAllocator& fids) {
+    for (std::size_t server = 0; server < servers; ++server) {
+      const FidAllocator& fids = cluster.fids(server);
       // A cursor far past every inode slot (a corrupt snapshot) must
       // not size a run; fids past a run's end go to the map instead.
       const std::uint64_t cursor =
           std::min<std::uint64_t>(fids.allocated(), 4 * table_slots);
       runs_.push_back({fids.seq(), run_end, cursor + headroom + 1});
       run_end += cursor + headroom + 1;
-    });
+    }
     entries_.assign(run_end, 0);
-    std::size_t server = 0;
-    each_server([&](const LdiskfsImage& image, const FidAllocator&) {
+    for (std::size_t server = 0; server < servers; ++server) {
+      const LdiskfsImage& image = cluster.image(server);
       for (std::uint64_t slot = 0; slot < image.inode_slots(); ++slot) {
         if (const Inode* inode = image.inode_at(slot)) {
           add(inode->lma_fid, pack(server, inode->ino));
         }
       }
-      ++server;
-    });
+    }
   }
 
   [[nodiscard]] std::span<const std::uint64_t> of(const Fid& fid) {
@@ -139,19 +134,11 @@ RepairExecutor::RepairExecutor(LustreCluster& cluster) : cluster_(cluster) {}
 
 RepairExecutor::~RepairExecutor() = default;
 
-LdiskfsImage& RepairExecutor::image_at(std::size_t server) {
-  return server < cluster_.mdt_count()
-             ? cluster_.mdt_server(server).image
-             : cluster_.osts()[server - cluster_.mdt_count()].image;
-}
-
 RepairExecutor::Located RepairExecutor::located(std::size_t server,
                                                 Inode& inode) {
-  if (server < cluster_.mdt_count()) {
-    return {&cluster_.mdt_server(server).image, &inode, true, 0, server};
-  }
-  OstServer& ost = cluster_.osts()[server - cluster_.mdt_count()];
-  return {&ost.image, &inode, false, ost.index, server};
+  const std::size_t mdts = cluster_.mdt_count();
+  return {&cluster_.image(server), &inode, server < mdts,
+          server < mdts ? 0 : cluster_.osts()[server - mdts].index, server};
 }
 
 RepairExecutor::ClaimantIndex& RepairExecutor::claimant_index() {
@@ -163,7 +150,7 @@ RepairExecutor::ClaimantIndex& RepairExecutor::claimant_index() {
 
 RepairExecutor::Located RepairExecutor::carrier(std::uint64_t claimant) {
   const std::size_t server = claimant >> kServerShift;
-  return located(server, *image_at(server).find(claimant & kInoMask));
+  return located(server, *cluster_.image(server).find(claimant & kInoMask));
 }
 
 void RepairExecutor::set_lma(std::size_t server, Inode& inode,
@@ -174,9 +161,8 @@ void RepairExecutor::set_lma(std::size_t server, Inode& inode,
 }
 
 std::optional<RepairExecutor::Located> RepairExecutor::locate(const Fid& fid) {
-  const std::size_t servers = cluster_.mdt_count() + cluster_.osts().size();
-  for (std::size_t server = 0; server < servers; ++server) {
-    if (Inode* inode = image_at(server).find_by_fid(fid)) {
+  for (std::size_t server = 0; server < cluster_.server_count(); ++server) {
+    if (Inode* inode = cluster_.image(server).find_by_fid(fid)) {
       return located(server, *inode);
     }
   }

@@ -50,11 +50,10 @@ class RepairExecutor {
     Inode* inode = nullptr;
     bool on_mdt = false;
     std::uint32_t ost_index = 0;
-    /// Position in the cluster: MDTs first, then osts().
+    /// Cluster slot (LustreCluster::image).
     std::size_t server = 0;
   };
 
-  [[nodiscard]] LdiskfsImage& image_at(std::size_t server);
   [[nodiscard]] Located located(std::size_t server, Inode& inode);
   /// The index for this apply_all, built on first use.
   [[nodiscard]] ClaimantIndex& claimant_index();

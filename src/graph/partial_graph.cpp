@@ -58,7 +58,12 @@ PartialGraph PartialGraph::deserialize(const std::vector<std::uint8_t>& bytes) {
     v.fid.seq = r.get<std::uint64_t>();
     v.fid.oid = r.get<std::uint32_t>();
     v.fid.ver = r.get<std::uint32_t>();
-    v.kind = static_cast<ObjectKind>(r.get<std::uint8_t>());
+    const auto kind = r.get<std::uint8_t>();
+    if (kind > static_cast<std::uint8_t>(ObjectKind::kOther)) {
+      throw SerdesError("partial graph: impossible vertex kind byte " +
+                        std::to_string(kind));
+    }
+    v.kind = static_cast<ObjectKind>(kind);
     g.vertices.push_back(v);
   }
   const auto edge_count = r.bounded_count(r.get<std::uint64_t>(), 33);
@@ -71,7 +76,12 @@ PartialGraph PartialGraph::deserialize(const std::vector<std::uint8_t>& bytes) {
     e.dst.seq = r.get<std::uint64_t>();
     e.dst.oid = r.get<std::uint32_t>();
     e.dst.ver = r.get<std::uint32_t>();
-    e.kind = static_cast<EdgeKind>(r.get<std::uint8_t>());
+    const auto kind = r.get<std::uint8_t>();
+    if (kind > static_cast<std::uint8_t>(EdgeKind::kGeneric)) {
+      throw SerdesError("partial graph: impossible edge kind byte " +
+                        std::to_string(kind));
+    }
+    e.kind = static_cast<EdgeKind>(kind);
     g.edges.push_back(e);
   }
   if (!r.exhausted()) throw SerdesError("partial graph: trailing bytes");

@@ -1,52 +1,9 @@
 #include "online/online_checker.h"
 
 #include "common/timer.h"
+#include "scanner/scanner.h"
 
 namespace faultyrank {
-
-namespace {
-
-/// Extracts the out-edges a scanner would emit for this inode.
-std::vector<std::pair<Fid, EdgeKind>> edges_of(const Inode& inode) {
-  std::vector<std::pair<Fid, EdgeKind>> out;
-  switch (inode.type) {
-    case InodeType::kDirectory:
-      for (const auto& entry : inode.dirents) {
-        out.emplace_back(entry.fid, EdgeKind::kDirent);
-      }
-      for (const auto& link : inode.link_ea) {
-        out.emplace_back(link.parent, EdgeKind::kLinkEa);
-      }
-      break;
-    case InodeType::kRegular:
-      for (const auto& link : inode.link_ea) {
-        out.emplace_back(link.parent, EdgeKind::kLinkEa);
-      }
-      if (inode.lov_ea.has_value()) {
-        for (const auto& slot : inode.lov_ea->stripes) {
-          out.emplace_back(slot.stripe, EdgeKind::kLovEa);
-        }
-      }
-      break;
-    case InodeType::kOstObject:
-      if (inode.filter_fid.has_value()) {
-        out.emplace_back(inode.filter_fid->parent, EdgeKind::kObjParent);
-      }
-      break;
-  }
-  return out;
-}
-
-ObjectKind kind_of(const Inode& inode) {
-  switch (inode.type) {
-    case InodeType::kDirectory: return ObjectKind::kDirectory;
-    case InodeType::kRegular: return ObjectKind::kFile;
-    case InodeType::kOstObject: return ObjectKind::kStripeObject;
-  }
-  return ObjectKind::kPhantom;
-}
-
-}  // namespace
 
 OnlineChecker::OnlineChecker(LustreCluster& cluster,
                              OnlineCheckerConfig config)
@@ -60,17 +17,8 @@ void OnlineChecker::bootstrap() {
   plan_.reset();
   graph_ = MutableMetadataGraph();
   claimants_.clear();
-  last_seen_.assign(server_count(), {});
-  for (std::size_t server = 0; server < server_count(); ++server) {
-    const LdiskfsImage& image = image_of(server);
-    auto& seen = last_seen_[server];
-    seen.assign(image.inode_slots(), kNullFid);
-    image.for_each_inode([&](const Inode& inode) {
-      add_claim(inode.lma_fid, server, inode.ino);
-      refresh_identity(inode.lma_fid);
-      seen[inode.ino - 1] = inode.lma_fid;
-    });
-  }
+  last_seen_.assign(cluster_.server_count(), {});
+  full_scrub();
   if (cluster_.changelog() != nullptr) {
     cursor_ = cluster_.changelog()->next_index();
   }
@@ -182,18 +130,23 @@ void OnlineChecker::refresh_identity(const Fid& fid) {
     ObjectKind kind = ObjectKind::kPhantom;
     bool have_kind = false;
     for (auto claim = claims.begin(); claim != claims.end();) {
-      const Inode* inode = image_of(claim->server).find(claim->ino);
+      const Inode* inode = cluster_.image(claim->server).find(claim->ino);
       if (inode == nullptr || inode->lma_fid != fid) {
         // The slot moved on since this claim was recorded; prune it.
         claim = claims.erase(claim);
         continue;
       }
+      // The records a scan of this slot's server emits; the first
+      // claimant's kind names the vertex.
+      const ObjectKind claimed = inode_records(
+          *inode, claim->server < cluster_.mdt_count(),
+          [&](const Fid& dst, EdgeKind edge) {
+            merged.emplace_back(dst, edge);
+          });
       if (!have_kind) {
-        kind = kind_of(*inode);
+        kind = claimed;
         have_kind = true;
       }
-      auto edges = edges_of(*inode);
-      merged.insert(merged.end(), edges.begin(), edges.end());
       ++claim;
     }
     if (!claims.empty()) {
@@ -207,7 +160,7 @@ void OnlineChecker::refresh_identity(const Fid& fid) {
 }
 
 bool OnlineChecker::scrub_slot(std::size_t server, std::uint64_t ino) {
-  const LdiskfsImage& image = image_of(server);
+  const LdiskfsImage& image = cluster_.image(server);
   auto& seen = last_seen_[server];
   if (seen.size() < image.inode_slots()) {
     seen.resize(image.inode_slots(), kNullFid);
@@ -240,11 +193,11 @@ bool OnlineChecker::scrub_slot(std::size_t server, std::uint64_t ino) {
 std::size_t OnlineChecker::scrub_step() {
   std::size_t refreshed = 0;
   std::size_t visited = 0;
-  const std::size_t servers = server_count();
+  const std::size_t servers = cluster_.server_count();
   // Budget counts slots visited, so a step's cost is bounded even over
   // sparsely-used tables.
   while (visited < config_.scrub_batch) {
-    const LdiskfsImage& image = image_of(scrub_server_);
+    const LdiskfsImage& image = cluster_.image(scrub_server_);
     if (scrub_ino_ > image.inode_slots()) {
       scrub_server_ = (scrub_server_ + 1) % servers;
       scrub_ino_ = 1;
@@ -259,8 +212,8 @@ std::size_t OnlineChecker::scrub_step() {
 }
 
 void OnlineChecker::full_scrub() {
-  for (std::size_t server = 0; server < server_count(); ++server) {
-    const std::uint64_t slots = image_of(server).inode_slots();
+  for (std::size_t server = 0; server < cluster_.server_count(); ++server) {
+    const std::uint64_t slots = cluster_.image(server).inode_slots();
     for (std::uint64_t ino = 1; ino <= slots; ++ino) {
       scrub_slot(server, ino);
     }

@@ -3,18 +3,19 @@
 // The offline prototype must unmount the filesystem and rescan every
 // server per check. The online checker removes both costs:
 //
-//   1. bootstrap()  — one full raw scan seeds the mutable metadata
-//                     graph and positions the changelog cursor. Done
-//                     once, ideally at mount time.
+//   1. bootstrap()  — one full scrub of every server seeds the mutable
+//                     metadata graph and positions the changelog
+//                     cursor. Done once, ideally at mount time.
 //   2. catch_up()   — consumes new changelog records; logical namespace
 //                     churn (mkdir/create/unlink) updates the graph in
 //                     place, no rescan.
 //   3. scrub_step() — raw corruption never reaches the changelog, so a
 //                     background scrubber re-reads a small batch of
 //                     inodes per step, round-robin over every server,
-//                     refreshing their graph entries. A corrupted EA
-//                     becomes visible to the next check as soon as its
-//                     inode is scrubbed.
+//                     refreshing their graph entries with the records
+//                     an offline scan emits (inode_records). A
+//                     corrupted EA becomes visible to the next check as
+//                     soon as its inode is scrubbed.
 //   4. check()      — freezes the graph and runs the FaultyRank
 //                     iterations + detector on the snapshot, entirely
 //                     in DRAM, while the filesystem stays mounted.
@@ -69,8 +70,9 @@ class OnlineChecker {
   explicit OnlineChecker(LustreCluster& cluster,
                          OnlineCheckerConfig config = {});
 
-  /// Full raw scan of every server into the mutable graph; positions
-  /// the changelog cursor at the log's current end.
+  /// Resets the mutable graph and scrub state, runs full_scrub() to read
+  /// every server into it, then positions the changelog cursor at the
+  /// log's current end and the scrub cursor at the first slot.
   void bootstrap();
 
   /// Applies every changelog record since the last call (or since
@@ -82,7 +84,8 @@ class OnlineChecker {
   /// of live inodes refreshed.
   std::size_t scrub_step();
 
-  /// Convenience: scrub until every inode slot has been visited once.
+  /// Scrubs every inode slot once, server by server in cluster slot
+  /// order. Leaves the scrub_step() cursor where it was.
   void full_scrub();
 
   /// Freeze + rank + detect on the current graph.
@@ -116,17 +119,9 @@ class OnlineChecker {
   /// Rebuilds `fid`'s graph entry from every slot still claiming it
   /// (pruning stale claims); removes the vertex when no claims remain.
   void refresh_identity(const Fid& fid);
-  /// Refreshes one raw inode slot on server `server` (MDTs first, then
-  /// OSTs). Returns true if a live inode was refreshed.
+  /// Refreshes one raw inode slot on cluster slot `server`. Returns
+  /// true if a live inode was refreshed.
   bool scrub_slot(std::size_t server, std::uint64_t ino);
-  [[nodiscard]] std::size_t server_count() const {
-    return cluster_.mdt_count() + cluster_.osts().size();
-  }
-  [[nodiscard]] const LdiskfsImage& image_of(std::size_t server) const {
-    return server < cluster_.mdt_count()
-               ? cluster_.mdt_server(server).image
-               : cluster_.osts()[server - cluster_.mdt_count()].image;
-  }
 
   LustreCluster& cluster_;
   OnlineCheckerConfig config_;

@@ -53,6 +53,20 @@ LustreCluster::LustreCluster(std::size_t ost_count, StripePolicy policy,
   mdts_[0]->root_fid = root.lma_fid;
 }
 
+LdiskfsImage& LustreCluster::image(std::size_t slot) {
+  return slot < mdts_.size() ? mdts_[slot]->image
+                             : osts_.at(slot - mdts_.size()).image;
+}
+
+const LdiskfsImage& LustreCluster::image(std::size_t slot) const {
+  return const_cast<LustreCluster*>(this)->image(slot);
+}
+
+const FidAllocator& LustreCluster::fids(std::size_t slot) const {
+  return slot < mdts_.size() ? mdts_[slot]->fids
+                             : osts_.at(slot - mdts_.size()).fids;
+}
+
 MdtServer* LustreCluster::mdt_for(const Fid& fid) noexcept {
   if (fid.seq < kMdtSeq || fid.seq >= kMdtSeq + mdts_.size()) return nullptr;
   return mdts_[fid.seq - kMdtSeq].get();

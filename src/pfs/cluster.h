@@ -109,6 +109,16 @@ class LustreCluster {
   }
   [[nodiscard]] OstServer& ost(std::size_t i) { return osts_.at(i); }
 
+  // ---- servers by slot: MDTs in index order, then OSTs ----
+  // The one server order: scans, checkpoints, repairs and the online
+  // checker all number servers by slot.
+  [[nodiscard]] std::size_t server_count() const noexcept {
+    return mdts_.size() + osts_.size();
+  }
+  [[nodiscard]] LdiskfsImage& image(std::size_t slot);
+  [[nodiscard]] const LdiskfsImage& image(std::size_t slot) const;
+  [[nodiscard]] const FidAllocator& fids(std::size_t slot) const;
+
   /// Routes a FID to the MDT whose sequence range owns it; nullptr for
   /// non-MDT sequences (bogus fids, OST objects).
   [[nodiscard]] MdtServer* mdt_for(const Fid& fid) noexcept;

@@ -183,16 +183,23 @@ LdiskfsImage LdiskfsImage::deserialize(ByteReader& r) {
   std::uint64_t slot_index = 0;
   for (Inode& inode : image.slots_) {
     inode.ino = r.get<std::uint64_t>();
-    inode.type = static_cast<InodeType>(r.get<std::uint8_t>());
+    const auto type = r.get<std::uint8_t>();
+    inode.type = static_cast<InodeType>(type);
     inode.in_use = r.get<std::uint8_t>() != 0;
     // inos are positional (slot = ino - 1); every consumer from the
     // checker's bootstrap down indexes tables with them, so an image
     // whose recorded ino disagrees with its slot is corrupt, not
-    // merely inconsistent.
+    // merely inconsistent. Likewise a type no inode can have. A free
+    // slot's bytes are never read, so only in-use slots are checked.
     if (inode.in_use && inode.ino != slot_index + 1) {
       throw SerdesError("inode ino " + std::to_string(inode.ino) +
                         " does not match slot " +
                         std::to_string(slot_index));
+    }
+    if (inode.in_use &&
+        type > static_cast<std::uint8_t>(InodeType::kOstObject)) {
+      throw SerdesError("inode in slot " + std::to_string(slot_index) +
+                        " has impossible type byte " + std::to_string(type));
     }
     ++slot_index;
     inode.lma_fid = get_fid(r);

@@ -59,9 +59,10 @@ class LdiskfsImage {
   void for_each_inode(const std::function<void(const Inode&)>& visit) const;
 
   /// Raw read of one inode-table slot (0-based, in block-group order);
-  /// nullptr when the slot is free. The resilient scanner iterates
-  /// slots itself so a faulted read can be retried or quarantined
-  /// without abandoning the whole table walk (op_faults hook).
+  /// nullptr when the slot is free. The scanner iterates slots itself
+  /// so that, under a fault schedule, a faulted read can be retried or
+  /// quarantined without abandoning the whole table walk (op_faults
+  /// hook).
   [[nodiscard]] const Inode* inode_at(std::uint64_t slot) const noexcept {
     if (slot >= slots_.size() || !slots_[slot].in_use) return nullptr;
     return &slots_[slot];

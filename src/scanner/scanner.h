@@ -2,7 +2,8 @@
 //
 // One scanner per server walks the local image raw — inode table in
 // block-group order, descending into directory data blocks for DIRENT
-// entries — and emits a partial graph of FID-keyed vertices and edges:
+// entries — and emits a partial graph of FID-keyed vertices and edges,
+// by the one inode → records rule below (inode_records):
 //
 //   MDT directory  → vertex(kDirectory); DIRENT edge per entry;
 //                    LinkEA edge per parent link
@@ -69,13 +70,58 @@ struct ScanResult {
   std::string error;                ///< why, when status == kFailed
 };
 
+/// The graph records of one in-use inode, as a raw scan of the server
+/// holding it reads them: calls `edge(dst, kind)` once per out-edge and
+/// returns the vertex kind. The one rule for every caller — the offline
+/// scan and the online checker's bootstrap and scrub — so an online
+/// graph holds exactly the records an offline scan emits.
+///   - On an MDT the type byte decides: a directory is kDirectory with a
+///     DIRENT edge per entry, then a LinkEA edge per parent link; a
+///     regular file is kFile with its LinkEA edges, then a LOVEA edge
+///     per stripe. An OST object found there is itself corruption and
+///     stays a bare kStripeObject, an isolated vertex.
+///   - On an OST every inode is a stripe object whatever its type byte
+///     says: kStripeObject plus its ObjLinkEA edge.
+template <typename EdgeSink>
+ObjectKind inode_records(const Inode& inode, bool on_mdt, EdgeSink&& edge) {
+  if (!on_mdt) {
+    if (inode.filter_fid.has_value()) {
+      edge(inode.filter_fid->parent, EdgeKind::kObjParent);
+    }
+    return ObjectKind::kStripeObject;
+  }
+  switch (inode.type) {
+    case InodeType::kDirectory:
+      for (const auto& entry : inode.dirents) {
+        edge(entry.fid, EdgeKind::kDirent);
+      }
+      for (const auto& link : inode.link_ea) {
+        edge(link.parent, EdgeKind::kLinkEa);
+      }
+      return ObjectKind::kDirectory;
+    case InodeType::kRegular:
+      for (const auto& link : inode.link_ea) {
+        edge(link.parent, EdgeKind::kLinkEa);
+      }
+      if (inode.lov_ea.has_value()) {
+        for (const auto& slot : inode.lov_ea->stripes) {
+          edge(slot.stripe, EdgeKind::kLovEa);
+        }
+      }
+      return ObjectKind::kFile;
+    case InodeType::kOstObject:
+      break;
+  }
+  return ObjectKind::kStripeObject;
+}
+
 /// Scans one MDT image (paper: the MDS holds namespace + layout
-/// metadata on a local SSD). With a fault schedule the scan walks the
-/// inode table slot-by-slot, retrying faulted reads under `retry` and
-/// quarantining inodes whose reads never clear; a server crash or a
+/// metadata on a local SSD). The scan walks the inode table slot by
+/// slot. With a fault schedule it retries faulted reads under `retry`
+/// and quarantines inodes whose reads never clear; a server crash or a
 /// blown deadline yields status kFailed with an empty graph instead of
-/// an exception. Without a schedule the walk is identical and the extra
-/// machinery is bypassed.
+/// an exception. Without a schedule the same walk reads every slot
+/// once, with no retry, quarantine or deadline.
 [[nodiscard]] ScanResult scan_mdt(const MdtServer& mdt,
                                   const DiskModel& disk = DiskModel::ssd(),
                                   ServerFaultSchedule* faults = nullptr,
@@ -89,27 +135,21 @@ struct ScanResult {
                                   const RetryPolicy& retry = {});
 
 struct ClusterScan {
-  std::vector<ScanResult> results;  ///< MDTs first (in index order), then OSTs
+  std::vector<ScanResult> results;  ///< by cluster slot: MDTs, then OSTs
   /// Virtual elapsed time: scanners run in parallel on their own
   /// servers, so the cluster-level scan time is the slowest scanner.
   double sim_seconds = 0.0;
-  double wall_seconds = 0.0;
   std::uint64_t inodes_scanned = 0;
 };
 
-/// Label of the server in `slot` of cluster order (MDTs, then OSTs).
-[[nodiscard]] const std::string& server_label(const LustreCluster& cluster,
-                                              std::size_t slot);
-
 /// The per-server scan loop. Scans each server in `slots` (cluster
-/// order) into scan.results[slot]: looks up its fault schedule on this
-/// thread, dispatches to scan_mdt or scan_ost, and records a scan that
-/// throws as a kFailed slot. With a pool each server runs in its own
-/// TaskGroup. As each slot completes, in `slots` order, on_scanned(slot)
-/// runs on this thread; if it throws, scans still in flight drain
-/// before the exception propagates. Then rolls every slot of
-/// scan.results up into sim_seconds and inodes_scanned, and sets
-/// wall_seconds to this call's measured time.
+/// slots, LustreCluster::image) into scan.results[slot]: looks up its
+/// fault schedule on this thread, dispatches to scan_mdt or scan_ost,
+/// and records a scan that throws as a kFailed slot. With a pool each
+/// server runs in its own TaskGroup. As each slot completes, in `slots`
+/// order, on_scanned(slot) runs on this thread; if it throws, scans
+/// still in flight drain before the exception propagates. Then rolls
+/// every slot of scan.results up into sim_seconds and inodes_scanned.
 void scan_servers(const LustreCluster& cluster,
                   std::span<const std::size_t> slots, ClusterScan& scan,
                   ThreadPool* pool, const DiskModel& mdt_disk,

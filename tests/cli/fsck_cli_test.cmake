@@ -4,9 +4,13 @@
 #         -P fsck_cli_test.cmake
 #
 # 1. Round trip on a tiny image: create, inject all eight scenarios,
-#    check --repair (must verify consistent), then a plain check must
-#    come back clean.
-# 2. Every malformed numeric flag value exits with exactly 2 (usage),
+#    check --repair --undo (must verify consistent), then a plain check
+#    must come back clean.
+# 2. Undo: restore from the undo file brings back the injected image,
+#    whose check reports the same findings as before the repair; an
+#    undo file that cannot be written fails the check (exit 1) and
+#    leaves the image byte-for-byte unchanged.
+# 3. Every malformed numeric flag value exits with exactly 2 (usage),
 #    before any image is written.
 if(NOT FSCK OR NOT WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DFSCK=<fsck> -DWORK_DIR=<dir> -P ${CMAKE_CURRENT_LIST_FILE}")
@@ -27,16 +31,34 @@ function(fsck want out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
+set(UNDO "${WORK_DIR}/tiny.undo")
 fsck(0 out create "${IMG}" --files 200 --osts 2 --seed 7)
 fsck(0 out inject "${IMG}" --scenario all --seed 9)
 fsck(1 out check "${IMG}")
-fsck(0 out check "${IMG}" --repair)
+if(NOT out MATCHES "findings: ([0-9]+)\n")
+  message(FATAL_ERROR "check printed no findings count:\n${out}")
+endif()
+set(injected_findings "${CMAKE_MATCH_1}")
+fsck(0 out check "${IMG}" --repair --undo "${UNDO}")
 if(NOT out MATCHES "consistent after repair: yes")
   message(FATAL_ERROR "check --repair did not verify consistent:\n${out}")
 endif()
 fsck(0 out check "${IMG}")
 if(NOT out MATCHES "findings: 0\n")
   message(FATAL_ERROR "re-check after repair is not clean:\n${out}")
+endif()
+
+fsck(0 out restore "${IMG}" --undo "${UNDO}")
+fsck(1 out check "${IMG}")
+if(NOT out MATCHES "findings: ${injected_findings}\n")
+  message(FATAL_ERROR "restored image does not report the injected "
+                      "${injected_findings} findings:\n${out}")
+endif()
+file(SHA256 "${IMG}" before)
+fsck(1 out check "${IMG}" --repair --undo "${WORK_DIR}/missing/tiny.undo")
+file(SHA256 "${IMG}" after)
+if(NOT before STREQUAL after)
+  message(FATAL_ERROR "a failed undo write still saved the repaired image")
 endif()
 
 set(BAD "${WORK_DIR}/bad.img")

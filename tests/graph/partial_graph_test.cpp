@@ -64,5 +64,40 @@ TEST(PartialGraphTest, TrailingGarbageThrows) {
   EXPECT_THROW(PartialGraph::deserialize(bytes), SerdesError);
 }
 
+// The first vertex's kind byte follows the magic, the version, the
+// 4-byte-prefixed server name "oss2", the vertex count and the vertex's
+// 16-byte FID.
+constexpr std::size_t kFirstVertexKind = 4 + 4 + (4 + 4) + 8 + 16;
+
+TEST(PartialGraphTest, ImpossibleVertexKindThrows) {
+  const auto bytes = sample_graph().serialize();
+  ASSERT_EQ(bytes[kFirstVertexKind],
+            static_cast<std::uint8_t>(ObjectKind::kStripeObject));
+  auto hostile = bytes;
+  hostile[kFirstVertexKind] = static_cast<std::uint8_t>(ObjectKind::kOther);
+  EXPECT_EQ(PartialGraph::deserialize(hostile).vertices[0].kind,
+            ObjectKind::kOther);
+  for (const int kind : {5, 0xff}) {
+    hostile[kFirstVertexKind] = static_cast<std::uint8_t>(kind);
+    EXPECT_THROW(PartialGraph::deserialize(hostile), SerdesError) << kind;
+  }
+}
+
+TEST(PartialGraphTest, ImpossibleEdgeKindThrows) {
+  // A decoded edge kind indexes per-kind tables downstream (the rank
+  // kernel's per-kind property ranks), so a byte past kGeneric must not
+  // load. The last edge's kind byte ends the buffer.
+  const auto bytes = sample_graph().serialize();
+  ASSERT_EQ(bytes.back(), static_cast<std::uint8_t>(EdgeKind::kObjParent));
+  auto hostile = bytes;
+  hostile.back() = static_cast<std::uint8_t>(EdgeKind::kGeneric);
+  EXPECT_EQ(PartialGraph::deserialize(hostile).edges.back().kind,
+            EdgeKind::kGeneric);
+  for (const int kind : {5, 0xff}) {
+    hostile.back() = static_cast<std::uint8_t>(kind);
+    EXPECT_THROW(PartialGraph::deserialize(hostile), SerdesError) << kind;
+  }
+}
+
 }  // namespace
 }  // namespace faultyrank

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "aggregator/aggregator.h"
+#include "checker/checker.h"
 #include "checker/repair_executor.h"
 #include "faults/injector.h"
 #include "scanner/scanner.h"
@@ -28,6 +31,81 @@ TEST(OnlineCheckerTest, BootstrapMatchesOfflineScan) {
   EXPECT_EQ(online.edge_count(), offline.graph.edge_count());
   EXPECT_EQ(online.unpaired_edges().size(),
             offline.graph.unpaired_edges().size());
+}
+
+/// Every edge of `graph` as (source FID, target FID, kind), sorted: the
+/// edge multiset, independent of GID numbering.
+std::vector<std::tuple<Fid, Fid, EdgeKind>> fid_edges(
+    const UnifiedGraph& graph) {
+  std::vector<std::tuple<Fid, Fid, EdgeKind>> edges;
+  const Csr& forward = graph.forward();
+  for (Gid v = 0; v < graph.vertex_count(); ++v) {
+    for (std::uint64_t e = forward.edges_begin(v); e < forward.edges_end(v);
+         ++e) {
+      edges.emplace_back(graph.vertices().fid_of(v),
+                         graph.vertices().fid_of(forward.target(e)),
+                         forward.kind(e));
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+/// A finding's verdict, independent of GID numbering and rank bits.
+using Verdict = std::tuple<InconsistencyCategory, FaultyField, Fid, Fid,
+                           EdgeKind, Fid, bool, RepairKind>;
+
+std::vector<Verdict> verdicts(const DetectionReport& report) {
+  std::vector<Verdict> out;
+  for (const Finding& f : report.findings) {
+    out.emplace_back(f.category, f.culprit, f.source, f.target, f.edge_kind,
+                     f.convicted_object, f.convicted_id_field,
+                     f.repair.kind);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(OnlineCheckerTest, OstRecordsIgnoreTheTypeByteLikeTheOfflineScan) {
+  // A raw OST scan reads every in-use inode as a stripe object with its
+  // ObjLinkEA edge, whatever its type byte says. The online checker
+  // reads the same bytes, so it must hold the same records: FID by FID
+  // and edge by edge, and its check must convict what the offline check
+  // convicts.
+  LustreCluster cluster = testing::make_populated_cluster(150, 78);
+  ChangeLog log;
+  cluster.attach_changelog(&log);
+  FaultInjector injector(cluster, 7878);
+  (void)injector.inject(Scenario::kMismatchTargetProperty);
+  int forged = 0;
+  testing::for_each_inode_mut(cluster.osts()[1].image, [&](Inode& inode) {
+    if (forged == 0) inode.type = InodeType::kRegular;
+    if (forged == 1) inode.type = InodeType::kDirectory;
+    ++forged;
+  });
+  ASSERT_GE(forged, 2);
+
+  OnlineChecker checker(cluster);
+  checker.bootstrap();
+  const UnifiedGraph online = checker.graph().freeze();
+  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  ASSERT_EQ(online.vertex_count(), offline.graph.vertex_count());
+  for (Gid v = 0; v < offline.graph.vertex_count(); ++v) {
+    const Fid& fid = offline.graph.vertices().fid_of(v);
+    const Gid w = online.vertices().lookup(fid);
+    ASSERT_NE(w, kInvalidGid) << fid.to_string();
+    EXPECT_EQ(online.vertices().kind_of(w), offline.graph.vertices().kind_of(v))
+        << fid.to_string();
+    EXPECT_EQ(online.vertices().scan_count(w),
+              offline.graph.vertices().scan_count(v))
+        << fid.to_string();
+  }
+  EXPECT_EQ(fid_edges(online), fid_edges(offline.graph));
+
+  const OnlineCheckResult result = checker.check();
+  const CheckerResult offline_check = run_checker(cluster);
+  EXPECT_FALSE(offline_check.report.consistent());
+  EXPECT_EQ(verdicts(result.report), verdicts(offline_check.report));
 }
 
 TEST(OnlineCheckerTest, CatchUpTracksNamespaceChurn) {

@@ -104,5 +104,37 @@ TEST(PersistenceTest, TruncatedSnapshotThrows) {
   std::remove(path.c_str());
 }
 
+TEST(PersistenceTest, ImpossibleInodeTypeThrows) {
+  LdiskfsImage image("oss0");
+  image.allocate(InodeType::kOstObject);
+  Inode& forged = image.allocate(InodeType::kOstObject);
+  forged.type = static_cast<InodeType>(6);
+  EXPECT_THROW((void)deserialize_image(serialize_image(image)),
+               PersistenceError);
+  forged.type = static_cast<InodeType>(0xff);
+  EXPECT_THROW((void)deserialize_image(serialize_image(image)),
+               PersistenceError);
+  forged.type = InodeType::kOstObject;
+  EXPECT_NO_THROW((void)deserialize_image(serialize_image(image)));
+}
+
+TEST(PersistenceTest, FreeSlotTypeByteIsNotChecked) {
+  // A free slot's bytes are never read, so only in-use slots are held
+  // to a valid type.
+  LdiskfsImage image("oss0");
+  image.allocate(InodeType::kOstObject);
+  image.allocate(InodeType::kOstObject);
+  image.release(1);
+  std::vector<std::uint8_t> bytes = serialize_image(image);
+  // Slot 0's type byte follows the label, inodes_per_group, the slot
+  // count and slot 0's ino.
+  const std::size_t type_at = 4 + image.label().size() + 4 + 8 + 8;
+  ASSERT_EQ(bytes[type_at], static_cast<std::uint8_t>(InodeType::kOstObject));
+  bytes[type_at] = 6;
+  const LdiskfsImage loaded = deserialize_image(bytes);
+  EXPECT_EQ(loaded.find(1), nullptr);
+  EXPECT_NE(loaded.find(2), nullptr);
+}
+
 }  // namespace
 }  // namespace faultyrank

@@ -109,11 +109,12 @@ std::optional<Args> parse(int argc, char** argv) {
 int usage() {
   std::fprintf(stderr,
                "usage: faultyrank_fsck <create|inject|check|lfsck|compare|"
-               "scenarios> <image> [flags]\n"
+               "restore|scenarios> <image> [flags]\n"
                "  create  --files N --osts K --seed S\n"
                "  inject  --scenario <name|all> --seed S\n"
                "  check   [--repair] [--verbose] [--json] [--undo FILE]\n"
-               "  lfsck   [--repair]\n");
+               "  lfsck   [--repair]\n"
+               "  restore --undo FILE\n");
   return 2;
 }
 
@@ -178,14 +179,9 @@ int cmd_check(const Args& args) {
   const std::uint64_t checked_rss = rss_bytes();
   const std::uint64_t checked_peak = peak_rss_bytes();
   if (!result.undo_image.empty()) {
-    std::FILE* undo = std::fopen(args.undo_path.c_str(), "wb");
-    if (undo == nullptr) {
-      std::fprintf(stderr, "cannot write undo file %s\n",
-                   args.undo_path.c_str());
-      return 1;
-    }
-    std::fwrite(result.undo_image.data(), 1, result.undo_image.size(), undo);
-    std::fclose(undo);
+    // Throws PersistenceError on any failed write, so the image below is
+    // never saved without an undo file to roll it back.
+    atomic_write_file(result.undo_image, args.undo_path);
     if (!args.json) {
       std::printf("pre-repair undo image: %s (%zu bytes)\n",
                   args.undo_path.c_str(), result.undo_image.size());
