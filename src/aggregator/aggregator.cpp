@@ -12,14 +12,10 @@ namespace faultyrank {
 
 namespace {
 
-/// Moves one scan result onto the MDS: local partials join directly,
-/// remote ones cross the wire (encode, count the bytes, decode).
+/// Moves one remote scan result onto the MDS across the wire: encode,
+/// count the bytes, decode.
 void decode_partial(const ScanResult& scan, PartialGraph& out,
                     std::uint64_t& wire_bytes) {
-  if (scan.local_to_mds) {
-    out = scan.graph;
-    return;
-  }
   const auto bytes = scan.graph.serialize();
   wire_bytes = bytes.size();
   out = PartialGraph::deserialize(bytes);
@@ -68,21 +64,25 @@ AggregationResult aggregate(std::span<const ScanResult> scans,
   WallTimer timer;
   AggregationResult result;
 
-  std::vector<PartialGraph> partials(scans.size());
+  // Remote partials are decoded into `decoded`; a local one is merged
+  // where its scan left it, without a copy.
+  const auto remote = [&scans](std::size_t i) {
+    return scans[i].status != ScanStatus::kFailed && !scans[i].local_to_mds;
+  };
+  std::vector<PartialGraph> decoded(scans.size());
   std::vector<std::uint64_t> wire_bytes(scans.size(), 0);
   if (pool != nullptr && pool->size() > 1 && scans.size() > 1) {
     TaskGroup group(*pool);
     for (std::size_t i = 0; i < scans.size(); ++i) {
-      if (scans[i].status == ScanStatus::kFailed) continue;
-      group.submit([&scans, &partials, &wire_bytes, i] {
-        decode_partial(scans[i], partials[i], wire_bytes[i]);
+      if (!remote(i)) continue;
+      group.submit([&scans, &decoded, &wire_bytes, i] {
+        decode_partial(scans[i], decoded[i], wire_bytes[i]);
       });
     }
     group.wait();
   } else {
     for (std::size_t i = 0; i < scans.size(); ++i) {
-      if (scans[i].status == ScanStatus::kFailed) continue;
-      decode_partial(scans[i], partials[i], wire_bytes[i]);
+      if (remote(i)) decode_partial(scans[i], decoded[i], wire_bytes[i]);
     }
   }
 
@@ -92,14 +92,14 @@ AggregationResult aggregate(std::span<const ScanResult> scans,
   // only, in slot order — deterministic for any pool size, and
   // identical between a resumed and an uninterrupted run (both see the
   // same survivors).
-  std::vector<PartialGraph> survivors;
+  std::vector<const PartialGraph*> survivors;
   survivors.reserve(scans.size());
   for (std::size_t i = 0; i < scans.size(); ++i) {
     if (scans[i].status == ScanStatus::kFailed) continue;
     for (const Fid& fid : scans[i].quarantined) {
       result.coverage.quarantined.insert(fid);
     }
-    survivors.push_back(std::move(partials[i]));
+    survivors.push_back(remote(i) ? &decoded[i] : &scans[i].graph);
   }
   if (!scans.empty()) {
     result.coverage.coverage = static_cast<double>(survivors.size()) /

@@ -3,9 +3,10 @@
 // Every OSS scanner ships its partial graph to the MDS in one bulk
 // transfer (serialized through the real wire format — the bytes are
 // actually encoded and decoded, not just counted); the MDS partial
-// graph joins locally. The aggregator then merges all partial graphs,
-// remaps 128-bit FIDs to dense GIDs, and builds the forward + reversed
-// CSR with the pairing analysis — everything FaultyRank needs.
+// graph joins locally, merged where its scan left it, without a copy.
+// The aggregator then merges all partial graphs, remaps 128-bit FIDs to
+// dense GIDs, and builds the forward + reversed CSR with the pairing
+// analysis — everything FaultyRank needs.
 //
 // Two entry points, one decode + merge path:
 //   * aggregate()          — takes a finished cluster scan.

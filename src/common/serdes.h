@@ -9,13 +9,23 @@
 // and both directions static_assert trivial copyability so a
 // non-trivial type fails with a readable message instead of deep
 // template errors.
+//
+// Sized for bulk records (DESIGN.md §7). The writer puts each field at
+// a cursor into storage grown ahead of it, so a put costs one capacity
+// check and one memcpy, and reserve() sizes that storage once when the
+// caller knows the total. The reader checks a run of fixed-size records
+// once, as a whole (ByteReader::records), and reads its fields through
+// a RecordReader without a check per field.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace faultyrank {
@@ -25,23 +35,29 @@ class SerdesError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only byte sink.
+/// Append-only byte sink. bytes(), size() and take() cover exactly the
+/// bytes written, however far the storage was grown ahead.
 class ByteWriter {
  public:
+  /// Grows the storage to hold at least `total` bytes in all, so puts
+  /// up to that size never reallocate. Never shrinks below the bytes
+  /// already written.
+  void reserve(std::size_t total) {
+    if (total > storage_.size()) storage_.resize(total);
+  }
+
   template <typename T>
   void put(const T& value) {
     static_assert(std::is_trivially_copyable_v<T>,
                   "ByteWriter::put requires a trivially copyable type");
-    std::uint8_t raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    bytes_.insert(bytes_.end(), raw, raw + sizeof(T));
+    std::memcpy(claim(sizeof(T)), &value, sizeof(T));
   }
 
   /// Length-prefixed opaque blob (nested wire encodings, e.g. a
   /// partial graph inside a checkpoint).
   void put_bytes(const std::vector<std::uint8_t>& blob) {
     put(static_cast<std::uint64_t>(blob.size()));
-    bytes_.insert(bytes_.end(), blob.begin(), blob.end());
+    append(blob.data(), blob.size());
   }
 
   void put_string(const std::string& s) {
@@ -50,17 +66,64 @@ class ByteWriter {
                         std::to_string(s.size()) + " bytes");
     }
     put(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    append(s.data(), s.size());
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
-    return bytes_;
+  /// The bytes written so far; valid until the next put or take().
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {storage_.data(), size_};
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
-  [[nodiscard]] std::size_t size() const { return bytes_.size(); }
+  /// Hands the written bytes over and leaves the writer empty, ready
+  /// for reuse.
+  [[nodiscard]] std::vector<std::uint8_t> take() {
+    storage_.resize(size_);
+    size_ = 0;
+    return std::exchange(storage_, {});
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  /// Moves the cursor past `n` bytes and returns where they go. Storage
+  /// that cannot hold them grows to at least twice its size.
+  std::uint8_t* claim(std::size_t n) {
+    if (n > storage_.size() - size_) {
+      storage_.resize(std::max(storage_.size() * 2, size_ + n));
+    }
+    std::uint8_t* at = storage_.data() + size_;
+    size_ += n;
+    return at;
+  }
+
+  void append(const void* data, std::size_t n) {
+    if (n != 0) std::memcpy(claim(n), data, n);
+  }
+
+  std::vector<std::uint8_t> storage_;  ///< [0, size_) written; rest ahead
+  std::size_t size_ = 0;
+};
+
+/// Field reads over a run of fixed-size records that
+/// ByteReader::records bounds-checked once, as a whole. get() checks
+/// nothing itself: a decoder reads exactly one record's fields per
+/// record, which fr_analyze's serdes-asymmetry pass holds against the
+/// writer of the format.
+class RecordReader {
+ public:
+  template <typename T>
+  [[nodiscard]] T get() noexcept {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "RecordReader::get requires a trivially copyable type");
+    T value;
+    std::memcpy(&value, at_, sizeof(T));
+    at_ += sizeof(T);
+    return value;
+  }
+
+ private:
+  friend class ByteReader;
+  explicit RecordReader(const std::uint8_t* at) noexcept : at_(at) {}
+
+  const std::uint8_t* at_;
 };
 
 /// Sequential byte source over a borrowed buffer. Invariant:
@@ -69,7 +132,7 @@ class ByteReader {
  public:
   ByteReader(const std::uint8_t* data, std::size_t size)
       : data_(data), size_(size) {}
-  explicit ByteReader(const std::vector<std::uint8_t>& bytes)
+  explicit ByteReader(std::span<const std::uint8_t> bytes)
       : ByteReader(bytes.data(), bytes.size()) {}
 
   template <typename T>
@@ -114,6 +177,17 @@ class ByteReader {
                         " bytes remaining");
     }
     return count;
+  }
+
+  /// Checks that `count` records of `record_bytes` each follow, as
+  /// bounded_count does, then steps past all of them and returns a
+  /// RecordReader over them: one bounds check for the whole run.
+  [[nodiscard]] RecordReader records(std::uint64_t count,
+                                     std::size_t record_bytes) {
+    const std::uint64_t n = bounded_count(count, record_bytes);
+    const RecordReader run(data_ + pos_);
+    pos_ += static_cast<std::size_t>(n) * record_bytes;
+    return run;
   }
 
  private:

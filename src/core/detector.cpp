@@ -513,11 +513,18 @@ void handle_over_reference(Ctx& ctx, Gid v, std::vector<Finding>& out) {
   const Csr& rev = ctx.graph.reverse();
   const Csr& fwd = ctx.graph.forward();
   for (const EdgeKind kind : {EdgeKind::kDirent, EdgeKind::kLovEa}) {
+    // Nearly every vertex has at most one claim of a kind: count them
+    // first and gather the claimants only when there are two or more.
+    std::size_t claims = 0;
+    for (auto slot = rev.edges_begin(v); slot < rev.edges_end(v); ++slot) {
+      if (rev.kind(slot) == kind) ++claims;
+    }
+    if (claims < 2) continue;
     std::vector<Gid> claimants;
+    claimants.reserve(claims);
     for (auto slot = rev.edges_begin(v); slot < rev.edges_end(v); ++slot) {
       if (rev.kind(slot) == kind) claimants.push_back(rev.target(slot));
     }
-    if (claimants.size() < 2) continue;
 
     // A claim v acknowledges with a point-back of the matching kind is
     // legitimate — hard links give a file several DIRENT parents, all

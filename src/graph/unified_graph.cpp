@@ -6,29 +6,29 @@
 
 namespace faultyrank {
 
-UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
-                                     ThreadPool* pool) {
+UnifiedGraph UnifiedGraph::aggregate(
+    std::span<const PartialGraph* const> partials, ThreadPool* pool) {
   UnifiedGraph g;
   std::uint64_t total_vertices = 0;
   std::uint64_t total_edges = 0;
-  for (const auto& partial : partials) {
-    total_vertices += partial.vertices.size();
-    total_edges += partial.edges.size();
-    for (const auto& vertex : partial.vertices) {
+  for (const PartialGraph* partial : partials) {
+    total_vertices += partial->vertices.size();
+    total_edges += partial->edges.size();
+    for (const auto& vertex : partial->vertices) {
       g.vertices_.count_scanned(vertex.fid);
     }
   }
   g.vertices_.size_runs(total_vertices);
 
-  for (const auto& partial : partials) {
-    for (const auto& vertex : partial.vertices) {
+  for (const PartialGraph* partial : partials) {
+    for (const auto& vertex : partial->vertices) {
       g.vertices_.intern_scanned(vertex.fid, vertex.kind);
     }
   }
   std::vector<GidEdge> edges;
   edges.reserve(total_edges);
-  for (const auto& partial : partials) {
-    for (const auto& e : partial.edges) {
+  for (const PartialGraph* partial : partials) {
+    for (const auto& e : partial->edges) {
       const Gid src = g.vertices_.intern_referenced(e.src);
       const Gid dst = g.vertices_.intern_referenced(e.dst);
       edges.push_back({src, dst, e.kind});
@@ -36,6 +36,14 @@ UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
   }
   g.finalize(std::move(edges), pool);
   return g;
+}
+
+UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
+                                     ThreadPool* pool) {
+  std::vector<const PartialGraph*> pointers;
+  pointers.reserve(partials.size());
+  for (const PartialGraph& partial : partials) pointers.push_back(&partial);
+  return aggregate(pointers, pool);
 }
 
 UnifiedGraph UnifiedGraph::from_edges(std::size_t vertex_count,

@@ -36,11 +36,17 @@ struct UnpairedEdge {
 
 class UnifiedGraph {
  public:
-  /// Merges partial graphs in the given order (deterministic GIDs).
+  /// Merges partial graphs in the given order (deterministic GIDs),
+  /// reading each where it lives: nothing is copied before the merge.
   /// FIDs referenced by edges but scanned on no server become phantom
   /// vertices. Interning is serial (DESIGN.md §7); the pool, if given,
   /// parallelizes the paired-edge classification, and the result is
   /// byte-identical for any thread count.
+  [[nodiscard]] static UnifiedGraph aggregate(
+      std::span<const PartialGraph* const> partials,
+      ThreadPool* pool = nullptr);
+
+  /// The same merge over partials held contiguously.
   [[nodiscard]] static UnifiedGraph aggregate(
       std::span<const PartialGraph> partials, ThreadPool* pool = nullptr);
 

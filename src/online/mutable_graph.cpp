@@ -95,15 +95,20 @@ void MutableMetadataGraph::replace_object(
 }
 
 UnifiedGraph MutableMetadataGraph::freeze(ThreadPool* pool) const {
+  // One vertex record per observed physical inode: the aggregate's
+  // scan count then matches an offline merge, which is what drives the
+  // detector's duplicate-id (Double Reference) conviction. Both arrays
+  // are sized exactly before they are filled.
+  std::size_t vertex_records = 0;
+  for (const VertexState& state : slots_) {
+    if (state.live) vertex_records += state.scans;
+  }
   PartialGraph partial;
   partial.server = "online";
-  partial.vertices.reserve(live_vertices_);
+  partial.vertices.reserve(vertex_records);
   partial.edges.reserve(edge_count_);
   for (const VertexState& state : slots_) {
     if (!state.live) continue;
-    // One vertex record per observed physical inode: the aggregate's
-    // scan count then matches an offline merge, which is what drives
-    // the detector's duplicate-id (Double Reference) conviction.
     for (std::uint32_t scan = 0; scan < state.scans; ++scan) {
       partial.add_vertex(state.fid, state.kind);
     }
@@ -111,8 +116,8 @@ UnifiedGraph MutableMetadataGraph::freeze(ThreadPool* pool) const {
       partial.add_edge(state.fid, dst, kind);
     }
   }
-  const PartialGraph partials[] = {partial};
-  return UnifiedGraph::aggregate(partials, pool);
+  return UnifiedGraph::aggregate(std::span<const PartialGraph>(&partial, 1),
+                                 pool);
 }
 
 }  // namespace faultyrank

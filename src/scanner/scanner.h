@@ -16,6 +16,13 @@
 //
 // Disk cost: one streaming read of the inode table plus one random read
 // per directory's entry blocks, charged to the server's DiskModel.
+//
+// Memory: a scan sizes its partial graph once, before the walk, so
+// neither array grows during it (DESIGN.md §7). A sizing pass over the
+// slots counts the in-use inodes and, through inode_records, their
+// edges; it trusts no count stored in the image. The sizing pass is not
+// a modelled disk read: it is charged no sim time and consults no fault
+// schedule.
 #pragma once
 
 #include <cstdint>

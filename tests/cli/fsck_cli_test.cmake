@@ -3,9 +3,10 @@
 #   cmake -DFSCK=<path to faultyrank_fsck> -DWORK_DIR=<scratch dir> \
 #         -P fsck_cli_test.cmake
 #
-# 1. Round trip on a tiny image: create, inject all eight scenarios,
-#    check --repair --undo (must verify consistent), then a plain check
-#    must come back clean.
+# 1. Round trip on a tiny image: create (whose bytes must hash to the
+#    recorded SHA-256), inject all eight scenarios, check --repair
+#    --undo (must verify consistent), then a plain check must come back
+#    clean.
 # 2. Undo: restore from the undo file brings back the injected image,
 #    whose check reports the same findings as before the repair; an
 #    undo file that cannot be written fails the check (exit 1) and
@@ -33,6 +34,22 @@ endfunction()
 
 set(UNDO "${WORK_DIR}/tiny.undo")
 fsck(0 out create "${IMG}" --files 200 --osts 2 --seed 7)
+# The created image is pinned byte for byte: this hash was recorded when
+# ByteWriter appended each field by vector::insert, and any writer must
+# reproduce it. The hash covers the namespace too, so a change to the
+# image format, the namespace generator or its RNG moves it; only such a
+# deliberate change may. Regenerating: after one, run
+# `faultyrank_fsck create <img> --files 200 --osts 2 --seed 7`, check
+# that the change explains the new bytes, and paste `sha256sum <img>`
+# (also printed below on failure) over want_created.
+file(SHA256 "${IMG}" created)
+set(want_created "aada93eead62b147f4a414467bce795389865e9f74e9708fa707afaca858d511")
+if(NOT created STREQUAL want_created)
+  message(FATAL_ERROR "create wrote different image bytes:\n"
+                      "  sha256 ${created}\n  want   ${want_created}\n"
+                      "A format, namespace-generator or RNG change moves "
+                      "this hash; see the regeneration note above.")
+endif()
 fsck(0 out inject "${IMG}" --scenario all --seed 9)
 fsck(1 out check "${IMG}")
 if(NOT out MATCHES "findings: ([0-9]+)\n")

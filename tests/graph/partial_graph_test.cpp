@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "scanner/scanner.h"
+#include "workload/namespace_gen.h"
+
 namespace faultyrank {
 namespace {
 
@@ -96,6 +107,181 @@ TEST(PartialGraphTest, ImpossibleEdgeKindThrows) {
   for (const int kind : {5, 0xff}) {
     hostile.back() = static_cast<std::uint8_t>(kind);
     EXPECT_THROW(PartialGraph::deserialize(hostile), SerdesError) << kind;
+  }
+}
+
+// Offset of the vertex count: magic, version, then the server name
+// with its 4-byte length.
+std::size_t vertex_count_at(const PartialGraph& g) {
+  return 4 + 4 + 4 + g.server.size();
+}
+
+// Offset of the edge count: past the vertex count and the vertex
+// records.
+std::size_t edge_count_at(const PartialGraph& g) {
+  return vertex_count_at(g) + 8 + g.vertices.size() * 17;
+}
+
+void write_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof value);
+}
+
+PartialGraph three_by_three() {
+  PartialGraph g = sample_graph();
+  g.add_vertex(Fid{0x100010002, 3, 0}, ObjectKind::kStripeObject);
+  g.add_edge(Fid{0x100010002, 3, 0}, Fid{0x200000400, 12, 0},
+             EdgeKind::kObjParent);
+  return g;
+}
+
+TEST(PartialGraphTest, VertexCountFillingTheRestLeavesNoEdgeCount) {
+  // The vertex records end the buffer exactly: the count passes its
+  // bound (count x 17 == bytes left), and the edge count has no bytes.
+  PartialGraph g = sample_graph();
+  g.edges.clear();
+  auto bytes = g.serialize();
+  bytes.resize(bytes.size() - 8);
+  ASSERT_EQ(bytes.size(), vertex_count_at(g) + 8 + 2 * 17);
+  EXPECT_THROW(PartialGraph::deserialize(bytes), SerdesError);
+}
+
+TEST(PartialGraphTest, EdgeCountOneRecordShortThrows) {
+  const PartialGraph g = three_by_three();
+  // The count claims one more record than follows ...
+  auto claims_more = g.serialize();
+  write_u64(claims_more, edge_count_at(g), 4);
+  EXPECT_THROW(PartialGraph::deserialize(claims_more), SerdesError);
+  // ... or the last record is cut off under an honest count.
+  auto cut = g.serialize();
+  cut.resize(cut.size() - 33);
+  EXPECT_THROW(PartialGraph::deserialize(cut), SerdesError);
+  // A record cut by a single byte.
+  auto cut_one = g.serialize();
+  cut_one.pop_back();
+  EXPECT_THROW(PartialGraph::deserialize(cut_one), SerdesError);
+}
+
+TEST(PartialGraphTest, ImpossibleKindInTheLastRecordOfEachArrayThrows) {
+  const PartialGraph g = three_by_three();
+  const auto bytes = g.serialize();
+  const std::size_t last_vertex_kind = edge_count_at(g) - 1;
+  const std::size_t last_edge_kind = bytes.size() - 1;
+  ASSERT_EQ(bytes[last_vertex_kind],
+            static_cast<std::uint8_t>(ObjectKind::kStripeObject));
+  ASSERT_EQ(bytes[last_edge_kind],
+            static_cast<std::uint8_t>(EdgeKind::kObjParent));
+  for (const std::size_t at : {last_vertex_kind, last_edge_kind}) {
+    auto hostile = bytes;
+    hostile[at] = 0xff;
+    EXPECT_THROW(PartialGraph::deserialize(hostile), SerdesError) << at;
+  }
+}
+
+TEST(PartialGraphTest, CountsWhoseRecordBytesWouldWrapThrow) {
+  // count x 33 (or x 17) overflows 64 bits to a few bytes; the bound
+  // divides instead of multiplying, so the count is still refused.
+  const PartialGraph g = three_by_three();
+  constexpr std::uint64_t kEdgeWrap = UINT64_MAX / 33 + 1;
+  constexpr std::uint64_t kVertexWrap = UINT64_MAX / 17 + 1;
+  static_assert(kEdgeWrap * 33 < 64 && kVertexWrap * 17 < 64);
+  auto edges = g.serialize();
+  write_u64(edges, edge_count_at(g), kEdgeWrap);
+  EXPECT_THROW(PartialGraph::deserialize(edges), SerdesError);
+  auto vertices = g.serialize();
+  write_u64(vertices, vertex_count_at(g), kVertexWrap);
+  EXPECT_THROW(PartialGraph::deserialize(vertices), SerdesError);
+}
+
+TEST(PartialGraphTest, WireBytesMatchesSerializedSizeOnRandomPartials) {
+  // serialize() reserves wire_bytes() and writes exactly that much:
+  // empty and long server names, and arrays of 0 records included.
+  Rng rng(17);
+  for (int round = 0; round < 60; ++round) {
+    PartialGraph g;
+    switch (round % 3) {
+      case 0: g.server = ""; break;
+      case 1: g.server = std::string(300 + rng.below(5000), 's'); break;
+      default: g.server = "oss" + std::to_string(round); break;
+    }
+    const std::uint64_t vertices = round % 4 == 0 ? 0 : rng.below(50);
+    const std::uint64_t edges = round % 5 == 0 ? 0 : rng.below(80);
+    const auto fid = [&] {
+      return Fid{rng(), static_cast<std::uint32_t>(rng()),
+                 static_cast<std::uint32_t>(rng())};
+    };
+    for (std::uint64_t i = 0; i < vertices; ++i) {
+      g.add_vertex(fid(), static_cast<ObjectKind>(rng.below(5)));
+    }
+    for (std::uint64_t i = 0; i < edges; ++i) {
+      g.add_edge(fid(), fid(), static_cast<EdgeKind>(rng.below(5)));
+    }
+    const std::vector<std::uint8_t> bytes = g.serialize();
+    EXPECT_EQ(g.wire_bytes(), bytes.size()) << round;
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << round;
+    const PartialGraph decoded = PartialGraph::deserialize(bytes);
+    EXPECT_EQ(decoded.server, g.server);
+    EXPECT_EQ(decoded.vertices, g.vertices);
+    EXPECT_EQ(decoded.edges, g.edges);
+  }
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// FNV-1a 64 of serialize() for every partial of a fixed 2-MDT, 4-OST
+// populated cluster, recorded with the writer that appended each field
+// by vector::insert. The writer that puts at a cursor into reserved
+// storage must reproduce them byte for byte: FRPG v1 is unchanged.
+//
+// Regenerating: only a deliberate change of the FRPG wire format (with
+// its kVersion bump) may move these. Such a change fails here and
+// prints the table it computed; paste that table over kFrpgDigests and
+// say in the commit why the bytes changed.
+struct FrpgDigest {
+  const char* server;
+  std::uint64_t digest;
+};
+
+// clang-format off
+const FrpgDigest kFrpgDigests[] = {
+    {"mds0", 0xa8cb55e78470e12bULL},
+    {"mds1", 0x2ebf8473918bfc2cULL},
+    {"oss0", 0xb818e17a10adeed4ULL},
+    {"oss1", 0xe7eee289fd1af823ULL},
+    {"oss2", 0xe01268a995178412ULL},
+    {"oss3", 0xa64c8c0df6c97553ULL},
+};
+// clang-format on
+
+TEST(PartialGraphTest, SerializedBytesMatchRecordedDigests) {
+  LustreCluster cluster(4, StripePolicy{64 * 1024, -1}, 2);
+  NamespaceConfig config;
+  config.file_count = 400;
+  config.seed = 11;
+  populate_namespace(cluster, config);
+  const ClusterScan scan = scan_cluster(cluster);
+
+  std::vector<FrpgDigest> got;
+  std::string table;
+  for (const ScanResult& result : scan.results) {
+    got.push_back({result.graph.server.c_str(),
+                   fnv1a(result.graph.serialize())});
+    char line[96];
+    std::snprintf(line, sizeof line, "    {\"%s\", 0x%016" PRIx64 "ULL},\n",
+                  got.back().server, got.back().digest);
+    table += line;
+  }
+  ASSERT_EQ(got.size(), std::size(kFrpgDigests)) << table;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_STREQ(got[i].server, kFrpgDigests[i].server) << table;
+    EXPECT_EQ(got[i].digest, kFrpgDigests[i].digest) << table;
   }
 }
 

@@ -3,8 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "aggregator/aggregator.h"
+#include "faults/op_faults.h"
+#include "pfs/persistence.h"
 #include "testing/fixtures.h"
 
 namespace faultyrank {
@@ -121,6 +129,144 @@ TEST(ScannerTest, ClusterSimTimeIsMaxOverServers) {
     max_server = std::max(max_server, result.sim_seconds);
   }
   EXPECT_DOUBLE_EQ(scan.sim_seconds, max_server);
+}
+
+// A scan sizes its partial graph before the walk (scanner.h), so on a
+// healthy cluster both arrays end exactly full: neither ever grew. One
+// MDT, then a 2-MDT DNE cluster whose second MDT holds directories too.
+TEST(ScannerTest, HealthyScanArraysAreSizedExactly) {
+  for (const std::size_t mdts : {std::size_t{1}, std::size_t{2}}) {
+    LustreCluster cluster(4, StripePolicy{64 * 1024, -1}, mdts);
+    NamespaceConfig config;
+    config.file_count = 300;
+    config.seed = 12;
+    populate_namespace(cluster, config);
+    const auto expect_exact = [&](const ScanResult& scan) {
+      EXPECT_EQ(scan.status, ScanStatus::kComplete) << scan.graph.server;
+      EXPECT_GT(scan.graph.edges.size(), 0u) << scan.graph.server;
+      EXPECT_EQ(scan.graph.vertices.capacity(), scan.graph.vertices.size())
+          << scan.graph.server;
+      EXPECT_EQ(scan.graph.edges.capacity(), scan.graph.edges.size())
+          << scan.graph.server;
+    };
+    for (std::size_t m = 0; m < cluster.mdt_count(); ++m) {
+      expect_exact(scan_mdt(cluster.mdt_server(m)));
+    }
+    for (const OstServer& ost : cluster.osts()) expect_exact(scan_ost(ost));
+  }
+}
+
+// An image stores its in-use count, and a damaged image may store any
+// value there. The scan sizes its arrays from the slots instead: with
+// the stored count forged to 0 and to 2^64 - 1, each scan completes
+// with the undamaged image's graph and its arrays exactly full.
+TEST(ScannerTest, ForgedInUseCountDoesNotSizeTheScan) {
+  const LustreCluster cluster = testing::make_populated_cluster(150, 34, 2);
+  // LdiskfsImage::serialize ends with the in-use count, the OI count and
+  // the OI's 24-byte entries; an undamaged image's OI holds one entry
+  // per in-use inode.
+  const auto forge = [](const LdiskfsImage& image, std::uint64_t count) {
+    std::vector<std::uint8_t> bytes = serialize_image(image);
+    const std::uint64_t in_use = image.inodes_in_use();
+    const std::size_t count_at = bytes.size() - 24 * in_use - 16;
+    std::uint64_t stored[2];
+    std::memcpy(stored, bytes.data() + count_at, sizeof stored);
+    EXPECT_EQ(stored[0], in_use);
+    EXPECT_EQ(stored[1], in_use);
+    std::memcpy(bytes.data() + count_at, &count, sizeof count);
+    LdiskfsImage forged = deserialize_image(bytes);
+    EXPECT_EQ(forged.inodes_in_use(), count);
+    return forged;
+  };
+  const auto expect_undamaged = [](const ScanResult& forged,
+                                   const ScanResult& healthy) {
+    EXPECT_EQ(forged.status, ScanStatus::kComplete) << forged.error;
+    EXPECT_EQ(forged.graph.vertices, healthy.graph.vertices);
+    EXPECT_EQ(forged.graph.edges, healthy.graph.edges);
+    EXPECT_EQ(forged.graph.vertices.capacity(), forged.graph.vertices.size());
+    EXPECT_EQ(forged.graph.edges.capacity(), forged.graph.edges.size());
+  };
+  const MdtServer& mdt = cluster.mdt_server(0);
+  const OstServer& ost = cluster.osts()[0];
+  for (const std::uint64_t count : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+    MdtServer forged_mdt(mdt.image.label(), mdt.index);
+    forged_mdt.image = forge(mdt.image, count);
+    expect_undamaged(scan_mdt(forged_mdt), scan_mdt(mdt));
+    OstServer forged_ost(ost.image.label(), ost.index);
+    forged_ost.image = forge(ost.image, count);
+    expect_undamaged(scan_ost(forged_ost), scan_ost(ost));
+  }
+}
+
+// Quarantined inodes leave the arrays short of their capacity, never
+// past it: each array's capacity is the size a healthy scan of the same
+// server fills, so neither grew. The sizing pass is not a modelled
+// read: every server's sim time, retry count and quarantine count equal
+// those recorded with the scanner that grew its arrays as it went (same
+// cluster, same schedule). Regenerating: a change to the disk or fault model fails
+// here and prints the table it computed; paste it over kFaultedScans.
+struct FaultedScan {
+  const char* server;
+  double sim_seconds;
+  std::uint64_t retries;
+  std::size_t quarantined;
+};
+
+// clang-format off
+const FaultedScan kFaultedScans[] = {
+    {"mds0", 0x1.2bd21bba4f88ap-1, 25, 15},
+    {"oss0", 0x1.59e9320ea1fdbp-1, 24, 17},
+    {"oss1", 0x1.aace1c0ef4288p-2, 23, 14},
+    {"oss2", 0x1.a221875cbd579p-1, 23, 19},
+    {"oss3", 0x1.782b1aeac9d03p-1, 25, 17},
+};
+// clang-format on
+
+TEST(ScannerTest, QuarantineKeepsArraysWithinTheirSizeAndSimTimeUnchanged) {
+  const LustreCluster cluster = testing::make_populated_cluster(150, 33, 4);
+  OpFaultConfig fault_config;
+  fault_config.transient_eio_rate = 0.2;
+  fault_config.latency_spike_rate = 0.05;
+  fault_config.max_fault_attempts = 3;
+  OpFaultSchedule faults(fault_config);
+  RetryPolicy retry;
+  retry.max_attempts = 2;  // faults lasting 3 attempts quarantine
+  const ClusterScan scan =
+      scan_cluster(cluster, nullptr, DiskModel::ssd(), DiskModel::hdd(),
+                   &faults, retry);
+
+  const ClusterScan healthy = scan_cluster(cluster);
+  ASSERT_EQ(healthy.results.size(), scan.results.size());
+
+  std::string table;
+  std::size_t quarantined = 0;
+  for (std::size_t i = 0; i < scan.results.size(); ++i) {
+    const ScanResult& result = scan.results[i];
+    const PartialGraph& whole = healthy.results[i].graph;
+    EXPECT_EQ(result.status == ScanStatus::kDegraded,
+              !result.quarantined.empty());
+    EXPECT_EQ(result.graph.server, whole.server);
+    EXPECT_EQ(result.graph.vertices.capacity(), whole.vertices.size())
+        << result.graph.server;
+    EXPECT_EQ(result.graph.edges.capacity(), whole.edges.size())
+        << result.graph.server;
+    quarantined += result.quarantined.size();
+    char line[128];
+    std::snprintf(line, sizeof line, "    {\"%s\", %a, %" PRIu64 ", %zu},\n",
+                  result.graph.server.c_str(), result.sim_seconds,
+                  result.retries, result.quarantined.size());
+    table += line;
+  }
+  EXPECT_GT(quarantined, 0u);
+  ASSERT_EQ(scan.results.size(), std::size(kFaultedScans)) << table;
+  for (std::size_t i = 0; i < scan.results.size(); ++i) {
+    const ScanResult& result = scan.results[i];
+    EXPECT_EQ(result.graph.server, kFaultedScans[i].server) << table;
+    EXPECT_EQ(result.sim_seconds, kFaultedScans[i].sim_seconds) << table;
+    EXPECT_EQ(result.retries, kFaultedScans[i].retries) << table;
+    EXPECT_EQ(result.quarantined.size(), kFaultedScans[i].quarantined)
+        << table;
+  }
 }
 
 }  // namespace

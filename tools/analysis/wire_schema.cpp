@@ -300,8 +300,11 @@ std::vector<WireField> Extractor::parse_region(std::size_t begin,
       continue;
     }
 
-    // Local ByteWriter/ByteReader declarations extend the tracked sets.
-    if ((tok.text == "ByteWriter" || tok.text == "ByteReader") &&
+    // Local ByteWriter/ByteReader/RecordReader declarations extend the
+    // tracked sets (a RecordReader reads a run of records that a
+    // ByteReader checked as a whole).
+    if ((tok.text == "ByteWriter" || tok.text == "ByteReader" ||
+         tok.text == "RecordReader") &&
         k + 1 < end && t[k + 1].kind == TokKind::kIdent) {
       (tok.text == "ByteWriter" ? writer_vars : reader_vars)
           .insert(t[k + 1].text);
@@ -588,7 +591,8 @@ void head_params(const SourceFile& file, const FunctionDef& def,
   }
   for (std::size_t k = head_begin; k + 1 < def.body_begin; ++k) {
     if (t[k].kind != TokKind::kIdent ||
-        (t[k].text != "ByteWriter" && t[k].text != "ByteReader")) {
+        (t[k].text != "ByteWriter" && t[k].text != "ByteReader" &&
+         t[k].text != "RecordReader")) {
       continue;
     }
     std::size_t j = k + 1;

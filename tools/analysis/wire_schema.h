@@ -7,7 +7,8 @@
 //
 //   * per function, the put<T>/put_string/put_bytes (writer) and
 //     get<T>/get_string/get_bytes (reader) calls made on a recognized
-//     ByteWriter/ByteReader variable become an ordered field list;
+//     ByteWriter/ByteReader variable — or a RecordReader, the record
+//     run a ByteReader hands out — become an ordered field list;
 //   * a for/while loop whose body carries wire ops becomes a repeated
 //     group (the count field stays a plain scalar immediately before
 //     it, exactly as encoded);

@@ -1,10 +1,13 @@
 // EXPECT: serdes-asymmetry
 //
-// Two divergent writer/reader pairs. The header pair disagrees
+// Three divergent writer/reader pairs. The header pair disagrees
 // directly on a scalar width. The item helpers disagree too, and the
 // save/load roots that splice them inherit that divergence — which the
 // pass reports on the helper pair only (the roots' mismatch is
-// suppressed as belonging to the nested pair).
+// suppressed as belonging to the nested pair). The row pair's reader
+// skips a field of each record it reads through a RecordReader.
+#include <vector>
+
 #include "serdes_like.h"
 
 namespace fx {
@@ -44,6 +47,26 @@ void load_fxa_items(ByteReader& r) {
   (void)fxa_count;
   get_fxa_item(r);
   get_fxa_item(r);
+}
+
+void save_fxa_rows(ByteWriter& w, const std::vector<std::uint64_t>& fxa_keys) {
+  w.put(static_cast<std::uint64_t>(fxa_keys.size()));
+  for (const std::uint64_t fxa_key : fxa_keys) {
+    w.put(fxa_key);
+    w.put(static_cast<std::uint32_t>(0));
+    w.put(static_cast<std::uint8_t>(1));
+  }
+}
+
+void load_fxa_rows(ByteReader& r) {
+  const auto fxa_row_count = r.bounded_count(r.get<std::uint64_t>(), 13);
+  RecordReader fxa_rows = r.records(fxa_row_count, 13);
+  for (std::uint64_t i = 0; i < fxa_row_count; ++i) {
+    const auto fxa_key = fxa_rows.get<std::uint64_t>();
+    const auto fxa_flag = fxa_rows.get<std::uint8_t>();
+    (void)fxa_key;
+    (void)fxa_flag;
+  }
 }
 
 }  // namespace fx
