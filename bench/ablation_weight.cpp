@@ -73,7 +73,7 @@ Score run_campaign(double unpaired_weight) {
 
       // Rank-only localization on the broken image.
       {
-        const ClusterScan scan = scan_cluster(cluster);
+        ClusterScan scan = scan_cluster(cluster);
         const AggregationResult agg = aggregate(scan.results);
         FaultyRankConfig rank_config;
         rank_config.unpaired_weight = unpaired_weight;

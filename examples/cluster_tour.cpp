@@ -64,7 +64,7 @@ int main() {
   }
 
   std::printf("\n== raw scan -> partial graphs -> unified graph ==\n");
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
   for (const ScanResult& result : scan.results) {
     std::printf("%-6s: %4zu vertices %4zu edges  (%lu inodes, "
                 "%.2f ms simulated disk)\n",

@@ -12,13 +12,17 @@ namespace faultyrank {
 
 namespace {
 
-/// Moves one remote scan result onto the MDS across the wire: encode,
-/// count the bytes, decode.
-void decode_partial(const ScanResult& scan, PartialGraph& out,
-                    std::uint64_t& wire_bytes) {
-  const auto bytes = scan.graph.serialize();
-  wire_bytes = bytes.size();
-  out = PartialGraph::deserialize(bytes);
+/// Frees a merged partial graph's records; its server name stays.
+void release(PartialGraph& graph) {
+  graph.vertices = std::vector<VertexRecord>();
+  graph.edges = std::vector<FidEdge>();
+}
+
+/// Moves one remote scan result onto the MDS across the wire: encodes
+/// it and releases its decoded form at once.
+void encode_partial(ScanResult& scan, std::vector<std::uint8_t>& wire) {
+  wire = scan.graph.serialize();
+  release(scan.graph);
 }
 
 /// Fills the virtual-time transfer accounting. Pure arithmetic over the
@@ -27,7 +31,7 @@ void decode_partial(const ScanResult& scan, PartialGraph& out,
 /// their partial sim time in the scan stage (the crash was detected at
 /// that point) but transfer nothing.
 void account_transfers(std::span<const ScanResult> scans,
-                       std::span<const std::uint64_t> wire_bytes,
+                       std::span<const std::vector<std::uint8_t>> wire,
                        const NetModel& net, AggregationResult& result) {
   double slowest_scan = 0.0;
   std::vector<std::size_t> remote;
@@ -36,8 +40,8 @@ void account_transfers(std::span<const ScanResult> scans,
     if (scans[i].status == ScanStatus::kFailed) continue;
     if (!scans[i].local_to_mds) {
       remote.push_back(i);
-      result.transferred_bytes += wire_bytes[i];
-      result.sim_transfer_seconds += net.transfer(wire_bytes[i]);
+      result.transferred_bytes += wire[i].size();
+      result.sim_transfer_seconds += net.transfer(wire[i].size());
     }
   }
   // Pipelined model: each transfer becomes ready when its scanner
@@ -52,60 +56,65 @@ void account_transfers(std::span<const ScanResult> scans,
   double link_free = 0.0;
   for (const std::size_t i : remote) {
     const double start = std::max(link_free, scans[i].sim_seconds);
-    link_free = start + net.transfer(wire_bytes[i]);
+    link_free = start + net.transfer(wire[i].size());
   }
   result.sim_pipeline_seconds = std::max(slowest_scan, link_free);
 }
 
 }  // namespace
 
-AggregationResult aggregate(std::span<const ScanResult> scans,
-                            const NetModel& net, ThreadPool* pool) {
+AggregationResult aggregate(std::span<ScanResult> scans, const NetModel& net,
+                            ThreadPool* pool) {
   WallTimer timer;
   AggregationResult result;
 
-  // Remote partials are decoded into `decoded`; a local one is merged
-  // where its scan left it, without a copy.
+  // Remote partials cross the wire as FRPG bytes and are merged from
+  // them in place; a local one is merged where its scan left it.
   const auto remote = [&scans](std::size_t i) {
     return scans[i].status != ScanStatus::kFailed && !scans[i].local_to_mds;
   };
-  std::vector<PartialGraph> decoded(scans.size());
-  std::vector<std::uint64_t> wire_bytes(scans.size(), 0);
+  std::vector<std::vector<std::uint8_t>> wire(scans.size());
   if (pool != nullptr && pool->size() > 1 && scans.size() > 1) {
     TaskGroup group(*pool);
     for (std::size_t i = 0; i < scans.size(); ++i) {
       if (!remote(i)) continue;
-      group.submit([&scans, &decoded, &wire_bytes, i] {
-        decode_partial(scans[i], decoded[i], wire_bytes[i]);
-      });
+      group.submit([&scans, &wire, i] { encode_partial(scans[i], wire[i]); });
     }
     group.wait();
   } else {
     for (std::size_t i = 0; i < scans.size(); ++i) {
-      if (remote(i)) decode_partial(scans[i], decoded[i], wire_bytes[i]);
+      if (remote(i)) encode_partial(scans[i], wire[i]);
     }
   }
-
-  account_transfers(scans, wire_bytes, net, result);
+  account_transfers(scans, wire, net, result);
 
   // Coverage and the unified graph come from the surviving partials
   // only, in slot order — deterministic for any pool size, and
   // identical between a resumed and an uninterrupted run (both see the
   // same survivors).
-  std::vector<const PartialGraph*> survivors;
+  std::vector<PartialSource> survivors;
   survivors.reserve(scans.size());
   for (std::size_t i = 0; i < scans.size(); ++i) {
     if (scans[i].status == ScanStatus::kFailed) continue;
     for (const Fid& fid : scans[i].quarantined) {
       result.coverage.quarantined.insert(fid);
     }
-    survivors.push_back(remote(i) ? &decoded[i] : &scans[i].graph);
+    if (remote(i)) {
+      survivors.emplace_back(PartialGraphView::of(wire[i]));
+    } else {
+      survivors.emplace_back(&scans[i].graph);
+    }
   }
   if (!scans.empty()) {
     result.coverage.coverage = static_cast<double>(survivors.size()) /
                                static_cast<double>(scans.size());
   }
   result.graph = UnifiedGraph::aggregate(survivors, pool);
+  for (std::size_t i = 0; i < scans.size(); ++i) {
+    if (scans[i].status != ScanStatus::kFailed && !remote(i)) {
+      release(scans[i].graph);
+    }
+  }
   result.wall_seconds = timer.seconds();
   return result;
 }

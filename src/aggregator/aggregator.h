@@ -1,14 +1,18 @@
 // The MDS-side aggregator (paper §IV-B).
 //
 // Every OSS scanner ships its partial graph to the MDS in one bulk
-// transfer (serialized through the real wire format — the bytes are
-// actually encoded and decoded, not just counted); the MDS partial
-// graph joins locally, merged where its scan left it, without a copy.
-// The aggregator then merges all partial graphs, remaps 128-bit FIDs to
-// dense GIDs, and builds the forward + reversed CSR with the pairing
-// analysis — everything FaultyRank needs.
+// transfer, serialized through the real wire format (the bytes are
+// actually encoded, not just counted). The merge reads each shipped
+// partial in place from those bytes, through a validated
+// PartialGraphView, with no decoded copy; the MDS partial graph joins
+// locally, merged where its scan left it. The aggregator merges all
+// partial graphs, remaps 128-bit FIDs to dense GIDs, and builds the
+// forward + reversed CSR with the pairing analysis — everything
+// FaultyRank needs. Each partial crosses into the unified graph once
+// and is released: an OSS partial as soon as it is encoded, the MDS
+// partial once the merge is done (DESIGN.md §7).
 //
-// Two entry points, one decode + merge path:
+// Two entry points, one encode + merge path:
 //   * aggregate()          — takes a finished cluster scan.
 //   * scan_and_aggregate() — runs the scanners itself (scan_servers, the
 //     loop scan_cluster uses), checkpointing each completed scan, then
@@ -74,7 +78,7 @@ struct AggregationResult {
   /// the stage ends when both the slowest scanner and the last transfer
   /// are done. Always ≤ slowest-scan + sim_transfer_seconds.
   double sim_pipeline_seconds = 0.0;
-  /// Measured time for decode + merge + FID remap + CSR build.
+  /// Measured time for encode + merge (FID remap, CSR build, pairing).
   double wall_seconds = 0.0;
   std::uint64_t transferred_bytes = 0;
   /// What fraction of servers contributed, which FID spaces were lost
@@ -83,14 +87,18 @@ struct AggregationResult {
   CoverageInfo coverage;
 };
 
-/// Aggregates a finished cluster scan into the unified graph. The pool,
-/// if given, decodes remote partials concurrently and parallelizes the
-/// merge; results are byte-identical to the serial path. Scans with
-/// status kFailed are excluded from the graph and the transfer
-/// accounting; coverage reflects the surviving fraction (lost FID
-/// sequences cannot be derived from scan results alone — use the
+/// Aggregates a finished cluster scan into the unified graph, and
+/// consumes the partial graphs it merges: once it returns, every
+/// surviving scan's graph holds no records (its server name stays).
+/// Nothing else in `scans` changes, and a failed slot is not touched,
+/// so a caller that needs a partial graph afterwards copies the scan
+/// first. The pool, if given, encodes remote partials concurrently and
+/// parallelizes the merge; results are byte-identical to the serial
+/// path. Scans with status kFailed are excluded from the graph and the
+/// transfer accounting; coverage reflects the surviving fraction (lost
+/// FID sequences cannot be derived from scan results alone — use the
 /// pipeline entry point for that).
-[[nodiscard]] AggregationResult aggregate(std::span<const ScanResult> scans,
+[[nodiscard]] AggregationResult aggregate(std::span<ScanResult> scans,
                                           const NetModel& net = {},
                                           ThreadPool* pool = nullptr);
 

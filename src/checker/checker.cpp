@@ -13,7 +13,7 @@ namespace {
 CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   CheckerResult result;
 
-  // Scans and decode + merge run on the pool; graph and sim numbers are
+  // Scans and encode + merge run on the pool; graph and sim numbers are
   // identical to a serial run. Degraded mode: with a fault schedule, a
   // crashed server shrinks coverage rather than aborting the check.
   PipelineConfig pipeline_config;

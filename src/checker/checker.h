@@ -51,7 +51,7 @@ struct CheckerTimings {
   /// (transfers stream to the MDS as each scanner completes, so most of
   /// the wire time overlaps scanning — DESIGN.md §7).
   double t_graph_sim = 0.0;
-  double t_graph_wall = 0.0;  ///< decode + merge + remap + CSR build (measured)
+  double t_graph_wall = 0.0;  ///< encode + merge + remap + CSR build (measured)
   double t_fr_wall = 0.0;     ///< iterations + detection (measured)
 
   /// End-to-end virtual seconds: virtual I/O legs plus measured compute

@@ -109,6 +109,9 @@ class ByteWriter {
 /// writer of the format.
 class RecordReader {
  public:
+  /// An empty run: nothing may be read from it.
+  RecordReader() = default;
+
   template <typename T>
   [[nodiscard]] T get() noexcept {
     static_assert(std::is_trivially_copyable_v<T>,
@@ -123,7 +126,7 @@ class RecordReader {
   friend class ByteReader;
   explicit RecordReader(const std::uint8_t* at) noexcept : at_(at) {}
 
-  const std::uint8_t* at_;
+  const std::uint8_t* at_ = nullptr;
 };
 
 /// Sequential byte source over a borrowed buffer. Invariant:

@@ -1,7 +1,7 @@
 // Fixed-size thread pool with independent task groups.
 //
 // Used by the per-server scan loop (one task group per simulated
-// server), the aggregator's decode and merge, and the rank kernel
+// server), the aggregator's encode and merge, and the rank kernel
 // (vertex-range partitioning). Rank updates are pull-style, so workers write disjoint
 // output ranges and need no synchronization beyond the fork/join
 // barrier.

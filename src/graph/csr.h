@@ -1,15 +1,16 @@
 // Compressed Sparse Row adjacency — the in-DRAM representation the
 // FaultyRank prototype uses for "extreme performance" (paper §IV-B).
 //
-// Built once from an edge triple list with a counting sort; adjacency
-// lists are sorted by (target, kind) so membership tests are binary
-// searches and iteration order is deterministic. Multi-edges are kept:
-// a corrupted directory can legitimately contain duplicate entries, and
+// Built once, by a CsrBuilder fed one edge at a time; adjacency lists
+// are sorted by (target, kind) so membership tests are binary searches
+// and iteration order is deterministic. Multi-edges are kept: a
+// corrupted directory can legitimately contain duplicate entries, and
 // the Double Reference scenarios depend on seeing both copies.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/types.h"
@@ -29,13 +30,15 @@ class Csr {
  public:
   Csr() = default;
 
-  /// Builds adjacency over `vertex_count` vertices. Edges may arrive in
-  /// any order; endpoints must be < vertex_count.
+  /// Builds adjacency over `vertex_count` vertices by feeding `edges`
+  /// to a CsrBuilder. Edges may arrive in any order; endpoints must be
+  /// < vertex_count (std::out_of_range otherwise).
   static Csr build(std::size_t vertex_count, std::span<const GidEdge> edges);
 
   /// The edge-reversed graph (dst→src) over the same vertex set, by a
-  /// counting-sort transpose: equal to build() of the swapped edges,
-  /// slot for slot, without re-sorting.
+  /// counting-sort transpose whose write cursors are its own offsets:
+  /// equal to build() of the swapped edges, slot for slot, without
+  /// re-sorting.
   [[nodiscard]] Csr reversed() const;
 
   [[nodiscard]] std::size_t vertex_count() const noexcept {
@@ -89,6 +92,7 @@ class Csr {
   [[nodiscard]] std::uint64_t edge_multiplicity(Gid u, Gid v) const noexcept;
 
   /// Exact heap footprint of the structure (Table IV/V memory column).
+  /// A built Csr holds exactly (n + 1) · 8 + E · 5 bytes.
   [[nodiscard]] std::uint64_t bytes() const noexcept {
     return offsets_.capacity() * sizeof(std::uint64_t) +
            targets_.capacity() * sizeof(Gid) +
@@ -96,10 +100,70 @@ class Csr {
   }
 
  private:
+  friend class CsrBuilder;
+
   // offsets_[v] .. offsets_[v+1] index targets_/kinds_.
   std::vector<std::uint64_t> offsets_;
   std::vector<Gid> targets_;
   std::vector<EdgeKind> kinds_;
+};
+
+/// The one way to build a Csr: declare the edge count, add() every
+/// edge, then finish(). The slot arrays are sized once, exactly. An
+/// edge whose source is not behind the last in-order edge's goes
+/// straight into the next slot; an aggregate fed in scan order sends
+/// every edge that way except a duplicate FID's. The remaining ("late")
+/// edges wait in a side list, and finish() places them by counting
+/// sort: each vertex's in-order run moves right to its final slot, and
+/// the offsets serve as the late edges' write cursors. So no full edge
+/// list and no cursor array is ever held.
+///
+/// Until finish(), offsets_[v + 1] counts v's in-order edges in its low
+/// 32 bits and its late edges in its high 32 bits, which is why one
+/// build takes fewer than 2^32 edges.
+class CsrBuilder {
+ public:
+  /// Room for exactly `edge_count` edges; offsets are reserved for
+  /// `vertex_hint` vertices (finish() makes them exact either way), and
+  /// the side list for `late_hint` late edges.
+  CsrBuilder(std::size_t vertex_hint, std::uint64_t edge_count,
+             std::uint64_t late_hint = 0);
+
+  /// Adds one edge. Endpoints are checked in finish() only as far as
+  /// the sources go; callers that cannot vouch for their targets check
+  /// them (Csr::build does).
+  void add(Gid src, Gid dst, EdgeKind kind) {
+    if (placed_ + late_.size() == csr_.targets_.size()) {
+      throw std::length_error("csr builder: more edges than declared");
+    }
+    if (src >= last_src_) {
+      if (src + std::size_t{2} > csr_.offsets_.size()) {
+        csr_.offsets_.resize(src + std::size_t{2}, 0);
+      }
+      last_src_ = src;
+      csr_.targets_[placed_] = dst;
+      csr_.kinds_[placed_] = kind;
+      ++placed_;
+      ++csr_.offsets_[src + 1];
+    } else {
+      late_.push_back({src, dst, kind});
+      csr_.offsets_[src + 1] += kLateEdge;
+    }
+  }
+
+  /// Places the late edges, sorts every adjacency by (target, kind) and
+  /// hands the Csr over. Throws std::out_of_range if a source is not
+  /// < vertex_count, std::logic_error if fewer edges were added than
+  /// declared.
+  [[nodiscard]] Csr finish(std::size_t vertex_count) &&;
+
+ private:
+  static constexpr std::uint64_t kLateEdge = std::uint64_t{1} << 32;
+
+  Csr csr_;
+  std::uint64_t placed_ = 0;  ///< in-order edges, in slots [0, placed_)
+  Gid last_src_ = 0;
+  std::vector<GidEdge> late_;
 };
 
 }  // namespace faultyrank

@@ -45,53 +45,52 @@ std::vector<std::uint8_t> PartialGraph::serialize() const {
 
 PartialGraph PartialGraph::deserialize(const std::vector<std::uint8_t>& bytes) {
   ByteReader r(bytes);
+  const PartialGraphView view = PartialGraphView::read(r);
+  PartialGraph g;
+  g.server = view.server();
+  g.vertices.reserve(view.vertex_count());
+  view.for_each_vertex(
+      [&g](const VertexRecord& v) { g.vertices.push_back(v); });
+  g.edges.reserve(view.edge_count());
+  view.for_each_edge([&g](const FidEdge& e) { g.edges.push_back(e); });
+  return g;
+}
+
+PartialGraphView PartialGraphView::read(ByteReader& r) {
   if (r.get<std::uint32_t>() != kMagic) {
     throw SerdesError("partial graph: bad magic");
   }
   if (r.get<std::uint32_t>() != kVersion) {
     throw SerdesError("partial graph: unsupported version");
   }
-  PartialGraph g;
-  g.server = r.get_string();
+  PartialGraphView view;
+  view.server_ = r.get_string();
   // Counts are bounded by the remaining bytes, so a corrupted length
-  // field throws instead of allocating gigabytes. That bound is the one
-  // check each array needs: it is sized once and its records are read
-  // through a RecordReader, with no check per field.
-  const auto vertex_count = r.bounded_count(r.get<std::uint64_t>(),
-                                            kVertexRecordBytes);
-  g.vertices.resize(vertex_count);
-  RecordReader vr = r.records(vertex_count, kVertexRecordBytes);
-  for (VertexRecord& v : g.vertices) {
-    v.fid.seq = vr.get<std::uint64_t>();
-    v.fid.oid = vr.get<std::uint32_t>();
-    v.fid.ver = vr.get<std::uint32_t>();
-    const auto kind = vr.get<std::uint8_t>();
-    if (kind > static_cast<std::uint8_t>(ObjectKind::kOther)) {
-      throw SerdesError("partial graph: impossible vertex kind byte " +
-                        std::to_string(kind));
-    }
-    v.kind = static_cast<ObjectKind>(kind);
+  // field throws instead of sizing anything from it. That bound is the
+  // one check each run needs: its records are then read through a
+  // RecordReader with no check per field, once here to check every kind
+  // byte and again by each reader of the view.
+  view.vertex_count_ = r.bounded_count(r.get<std::uint64_t>(),
+                                       kVertexRecordBytes);
+  view.vertex_run_ = r.records(view.vertex_count_, kVertexRecordBytes);
+  RecordReader vertices = view.vertex_run_;
+  for (std::uint64_t i = 0; i < view.vertex_count_; ++i) {
+    read_vertex(vertices);
   }
-  const auto edge_count = r.bounded_count(r.get<std::uint64_t>(),
-                                          kEdgeRecordBytes);
-  g.edges.resize(edge_count);
-  RecordReader er = r.records(edge_count, kEdgeRecordBytes);
-  for (FidEdge& e : g.edges) {
-    e.src.seq = er.get<std::uint64_t>();
-    e.src.oid = er.get<std::uint32_t>();
-    e.src.ver = er.get<std::uint32_t>();
-    e.dst.seq = er.get<std::uint64_t>();
-    e.dst.oid = er.get<std::uint32_t>();
-    e.dst.ver = er.get<std::uint32_t>();
-    const auto kind = er.get<std::uint8_t>();
-    if (kind > static_cast<std::uint8_t>(EdgeKind::kGeneric)) {
-      throw SerdesError("partial graph: impossible edge kind byte " +
-                        std::to_string(kind));
-    }
-    e.kind = static_cast<EdgeKind>(kind);
+  view.edge_count_ = r.bounded_count(r.get<std::uint64_t>(),
+                                     kEdgeRecordBytes);
+  view.edge_run_ = r.records(view.edge_count_, kEdgeRecordBytes);
+  RecordReader edges = view.edge_run_;
+  for (std::uint64_t i = 0; i < view.edge_count_; ++i) {
+    read_edge(edges);
   }
   if (!r.exhausted()) throw SerdesError("partial graph: trailing bytes");
-  return g;
+  return view;
+}
+
+PartialGraphView PartialGraphView::of(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  return read(r);
 }
 
 }  // namespace faultyrank

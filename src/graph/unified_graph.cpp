@@ -1,49 +1,88 @@
 #include "graph/unified_graph.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/thread_pool.h"
 
 namespace faultyrank {
 
-UnifiedGraph UnifiedGraph::aggregate(
-    std::span<const PartialGraph* const> partials, ThreadPool* pool) {
+namespace {
+
+/// Calls fn(const VertexRecord&) for each of a source's vertex records.
+template <typename Fn>
+void for_each_vertex(const PartialSource& source, Fn&& fn) {
+  if (const auto* graph = std::get_if<const PartialGraph*>(&source)) {
+    for (const VertexRecord& vertex : (*graph)->vertices) fn(vertex);
+  } else {
+    std::get<PartialGraphView>(source).for_each_vertex(fn);
+  }
+}
+
+/// Calls fn(const FidEdge&) for each of a source's edge records.
+template <typename Fn>
+void for_each_edge(const PartialSource& source, Fn&& fn) {
+  if (const auto* graph = std::get_if<const PartialGraph*>(&source)) {
+    for (const FidEdge& edge : (*graph)->edges) fn(edge);
+  } else {
+    std::get<PartialGraphView>(source).for_each_edge(fn);
+  }
+}
+
+std::uint64_t vertex_records(const PartialSource& source) {
+  const auto* graph = std::get_if<const PartialGraph*>(&source);
+  return graph != nullptr ? (*graph)->vertices.size()
+                          : std::get<PartialGraphView>(source).vertex_count();
+}
+
+std::uint64_t edge_records(const PartialSource& source) {
+  const auto* graph = std::get_if<const PartialGraph*>(&source);
+  return graph != nullptr ? (*graph)->edges.size()
+                          : std::get<PartialGraphView>(source).edge_count();
+}
+
+}  // namespace
+
+UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialSource> partials,
+                                     ThreadPool* pool) {
   UnifiedGraph g;
   std::uint64_t total_vertices = 0;
   std::uint64_t total_edges = 0;
-  for (const PartialGraph* partial : partials) {
-    total_vertices += partial->vertices.size();
-    total_edges += partial->edges.size();
-    for (const auto& vertex : partial->vertices) {
+  for (const PartialSource& partial : partials) {
+    total_vertices += vertex_records(partial);
+    total_edges += edge_records(partial);
+    for_each_vertex(partial, [&g](const VertexRecord& vertex) {
       g.vertices_.count_scanned(vertex.fid);
-    }
+    });
   }
   g.vertices_.size_runs(total_vertices);
 
-  for (const PartialGraph* partial : partials) {
-    for (const auto& vertex : partial->vertices) {
+  for (const PartialSource& partial : partials) {
+    for_each_vertex(partial, [&g](const VertexRecord& vertex) {
       g.vertices_.intern_scanned(vertex.fid, vertex.kind);
-    }
+    });
   }
-  std::vector<GidEdge> edges;
-  edges.reserve(total_edges);
-  for (const PartialGraph* partial : partials) {
-    for (const auto& e : partial->edges) {
+  // Scanned vertices hold GIDs in scan order, so scan-order edges reach
+  // the builder with sources in order, and it writes them in place.
+  CsrBuilder forward(total_vertices, total_edges);
+  for (const PartialSource& partial : partials) {
+    for_each_edge(partial, [&g, &forward](const FidEdge& e) {
       const Gid src = g.vertices_.intern_referenced(e.src);
       const Gid dst = g.vertices_.intern_referenced(e.dst);
-      edges.push_back({src, dst, e.kind});
-    }
+      forward.add(src, dst, e.kind);
+    });
   }
-  g.finalize(std::move(edges), pool);
+  g.forward_ = std::move(forward).finish(g.vertices_.size());
+  g.pair_edges(pool);
   return g;
 }
 
 UnifiedGraph UnifiedGraph::aggregate(std::span<const PartialGraph> partials,
                                      ThreadPool* pool) {
-  std::vector<const PartialGraph*> pointers;
-  pointers.reserve(partials.size());
-  for (const PartialGraph& partial : partials) pointers.push_back(&partial);
-  return aggregate(pointers, pool);
+  std::vector<PartialSource> sources;
+  sources.reserve(partials.size());
+  for (const PartialGraph& partial : partials) sources.emplace_back(&partial);
+  return aggregate(sources, pool);
 }
 
 UnifiedGraph UnifiedGraph::from_edges(std::size_t vertex_count,
@@ -61,24 +100,23 @@ UnifiedGraph UnifiedGraph::from_edges(std::size_t vertex_count,
   for (std::size_t v = 0; v < vertex_count; ++v) {
     g.vertices_.intern_scanned(synthetic_fid(v), ObjectKind::kOther);
   }
-  g.finalize(std::vector<GidEdge>(edges.begin(), edges.end()), pool);
+  g.forward_ = Csr::build(vertex_count, edges);
+  g.pair_edges(pool);
   return g;
 }
 
-void UnifiedGraph::finalize(std::vector<GidEdge> edges, ThreadPool* pool) {
-  forward_ = Csr::build(vertices_.size(), edges);
+void UnifiedGraph::pair_edges(ThreadPool* pool) {
   reverse_ = forward_.reversed();
 
   const std::size_t n = vertices_.size();
   forward_paired_.assign(forward_.edge_count(), 0);
   in_paired_.assign(n, 0);
-  in_unpaired_.assign(n, 0);
   unpaired_.clear();
 
   // An edge u→v is paired iff some v→u exists, i.e. iff v is among u's
   // in-neighbours. Both of u's lists are sorted by neighbour GID, so
   // one merge of them classifies u's out-edges (flags and unpaired
-  // edges, in slot order) and u's in-edges (the in-degree split). Each
+  // edges, in slot order) and u's in-edges (its paired in-degree). Each
   // vertex writes only its own slots and counters.
   const auto pair_vertices = [&](std::size_t begin, std::size_t end,
                                  std::vector<UnpairedEdge>& unpaired) {
@@ -104,8 +142,6 @@ void UnifiedGraph::finalize(std::vector<GidEdge> edges, ThreadPool* pool) {
         }
       }
       in_paired_[u] = in_paired;
-      in_unpaired_[u] = static_cast<std::uint32_t>(reverse_.out_degree(u)) -
-                        in_paired;
     }
   };
 
@@ -133,7 +169,6 @@ std::uint64_t UnifiedGraph::bytes() const {
   return vertices_.bytes() + forward_.bytes() + reverse_.bytes() +
          forward_paired_.capacity() +
          in_paired_.capacity() * sizeof(std::uint32_t) +
-         in_unpaired_.capacity() * sizeof(std::uint32_t) +
          unpaired_.capacity() * sizeof(UnpairedEdge);
 }
 

@@ -181,6 +181,7 @@ LdiskfsImage LdiskfsImage::deserialize(ByteReader& r) {
   const auto slot_count = r.bounded_count(r.get<std::uint64_t>(), 60);
   image.slots_.resize(slot_count);
   std::uint64_t slot_index = 0;
+  std::uint64_t in_use_slots = 0;
   for (Inode& inode : image.slots_) {
     inode.ino = r.get<std::uint64_t>();
     const auto type = r.get<std::uint8_t>();
@@ -202,6 +203,7 @@ LdiskfsImage LdiskfsImage::deserialize(ByteReader& r) {
                         " has impossible type byte " + std::to_string(type));
     }
     ++slot_index;
+    if (inode.in_use) ++in_use_slots;
     inode.lma_fid = get_fid(r);
     const auto link_count = r.bounded_count(r.get<std::uint32_t>(), 20);
     inode.link_ea.resize(link_count);
@@ -242,7 +244,15 @@ LdiskfsImage LdiskfsImage::deserialize(ByteReader& r) {
   const auto free_count = r.bounded_count(r.get<std::uint64_t>(), 8);
   image.free_list_.resize(free_count);
   for (std::uint64_t& ino : image.free_list_) ino = r.get<std::uint64_t>();
+  // The cluster's inode totals read this count (repair keys its LMA
+  // index on them, namespace generation its name salt), so a count the
+  // in-use slots disagree with is corruption, like a bad ino or type.
   image.in_use_count_ = r.get<std::uint64_t>();
+  if (image.in_use_count_ != in_use_slots) {
+    throw SerdesError("in-use count " + std::to_string(image.in_use_count_) +
+                      " does not match the " + std::to_string(in_use_slots) +
+                      " in-use slots");
+  }
   const auto oi_count = r.bounded_count(r.get<std::uint64_t>(), 24);
   image.oi_.reserve(oi_count);
   for (std::uint64_t i = 0; i < oi_count; ++i) {

@@ -2,7 +2,7 @@
 // reference path: same GIDs, same CSR, same pairing flags, same
 // unpaired-edge ordering — for any thread count. Interning is serial,
 // so a pooled aggregate differs from a serial one only in the parallel
-// finalize (pairing flags, in-degree splits, unpaired-edge order). Both
+// pairing (pairing flags, in-degree splits, unpaired-edge order). Both
 // are also checked against a per-edge has_edge pairing oracle.
 #include <gtest/gtest.h>
 
@@ -19,55 +19,11 @@
 #include "graph/unified_graph.h"
 #include "scanner/scanner.h"
 #include "testing/fixtures.h"
+#include "testing/graph_equal.h"
 #include "workload/rmat.h"
 
 namespace faultyrank {
 namespace {
-
-/// Asserts byte-for-byte equality of everything downstream consumers
-/// read: vertex table columns, forward + reverse CSR, pairing flags,
-/// in-degree splits, and the unpaired-edge list in its exact order.
-void expect_identical(const UnifiedGraph& expected, const UnifiedGraph& actual) {
-  ASSERT_EQ(expected.vertex_count(), actual.vertex_count());
-  ASSERT_EQ(expected.edge_count(), actual.edge_count());
-
-  const std::size_t n = expected.vertex_count();
-  for (Gid v = 0; v < n; ++v) {
-    ASSERT_EQ(expected.vertices().fid_of(v), actual.vertices().fid_of(v))
-        << "gid " << v;
-    ASSERT_EQ(expected.vertices().kind_of(v), actual.vertices().kind_of(v))
-        << "gid " << v;
-    ASSERT_EQ(expected.vertices().scan_count(v),
-              actual.vertices().scan_count(v))
-        << "gid " << v;
-    ASSERT_EQ(expected.paired_in_degree(v), actual.paired_in_degree(v))
-        << "gid " << v;
-    ASSERT_EQ(expected.unpaired_in_degree(v), actual.unpaired_in_degree(v))
-        << "gid " << v;
-  }
-
-  const auto compare_csr = [&](const Csr& want, const Csr& got,
-                               const char* which) {
-    ASSERT_EQ(want.vertex_count(), got.vertex_count()) << which;
-    ASSERT_EQ(want.edge_count(), got.edge_count()) << which;
-    for (Gid v = 0; v < want.vertex_count(); ++v) {
-      ASSERT_EQ(want.edges_begin(v), got.edges_begin(v)) << which << " " << v;
-      ASSERT_EQ(want.edges_end(v), got.edges_end(v)) << which << " " << v;
-      for (auto slot = want.edges_begin(v); slot < want.edges_end(v); ++slot) {
-        ASSERT_EQ(want.target(slot), got.target(slot))
-            << which << " slot " << slot;
-        ASSERT_EQ(want.kind(slot), got.kind(slot)) << which << " slot " << slot;
-      }
-    }
-  };
-  compare_csr(expected.forward(), actual.forward(), "forward");
-  compare_csr(expected.reverse(), actual.reverse(), "reverse");
-
-  for (std::uint64_t slot = 0; slot < expected.edge_count(); ++slot) {
-    ASSERT_EQ(expected.paired(slot), actual.paired(slot)) << "slot " << slot;
-  }
-  ASSERT_EQ(expected.unpaired_edges(), actual.unpaired_edges());
-}
 
 /// Checks the pairing outputs against the definition, edge by edge:
 /// u→v is paired iff the graph holds some v→u. The in-degree split and
@@ -137,7 +93,7 @@ TEST(ParallelAggregateTest, RmatFinalizeMatchesSerialForAnyThreadCount) {
     ThreadPool pool(threads);
     const UnifiedGraph parallel =
         UnifiedGraph::from_edges(rmat.vertex_count, rmat.edges, &pool);
-    expect_identical(serial, parallel);
+    testing::expect_identical(serial, parallel);
   }
 }
 
@@ -151,7 +107,7 @@ TEST(ParallelAggregateTest, MultigraphPairingMatchesOracleForAnyPool) {
       ThreadPool pool(threads);
       const UnifiedGraph pooled = UnifiedGraph::from_edges(300, edges, &pool);
       expect_pairing_matches_oracle(pooled);
-      expect_identical(serial, pooled);
+      testing::expect_identical(serial, pooled);
     }
   }
 }
@@ -163,7 +119,7 @@ TEST(ParallelAggregateTest, AdversarialPartialsMatchSerial) {
   for (const std::size_t threads : {2u, 5u}) {
     ThreadPool pool(threads);
     const UnifiedGraph parallel = UnifiedGraph::aggregate(partials, &pool);
-    expect_identical(serial, parallel);
+    testing::expect_identical(serial, parallel);
   }
 }
 
@@ -171,13 +127,14 @@ TEST(ParallelAggregateTest, ClusterScanAggregateMatchesSerial) {
   LustreCluster cluster = testing::make_populated_cluster(200, 91);
   FaultInjector injector(cluster, 92);
   injector.inject_campaign(5);  // unpaired edges + phantoms in the graph
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
+  std::vector<ScanResult> copy = scan.results;  // aggregate() consumes
 
   const AggregationResult serial = aggregate(scan.results);
   expect_pairing_matches_oracle(serial.graph);
   ThreadPool pool(4);
-  const AggregationResult parallel = aggregate(scan.results, {}, &pool);
-  expect_identical(serial.graph, parallel.graph);
+  const AggregationResult parallel = aggregate(copy, {}, &pool);
+  testing::expect_identical(serial.graph, parallel.graph);
   EXPECT_EQ(serial.transferred_bytes, parallel.transferred_bytes);
   EXPECT_DOUBLE_EQ(serial.sim_transfer_seconds, parallel.sim_transfer_seconds);
   EXPECT_DOUBLE_EQ(serial.sim_pipeline_seconds, parallel.sim_pipeline_seconds);
@@ -188,7 +145,7 @@ TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
   FaultInjector injector(cluster, 94);
   injector.inject_campaign(3);
 
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
   const AggregationResult batch = aggregate(scan.results);
 
   ThreadPool pool(4);
@@ -197,7 +154,7 @@ TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
   config.allow_degraded = false;
   const PipelineResult streamed = scan_and_aggregate(cluster, config);
 
-  expect_identical(batch.graph, streamed.agg.graph);
+  testing::expect_identical(batch.graph, streamed.agg.graph);
   EXPECT_EQ(batch.transferred_bytes, streamed.agg.transferred_bytes);
   EXPECT_DOUBLE_EQ(batch.sim_transfer_seconds,
                    streamed.agg.sim_transfer_seconds);
@@ -251,7 +208,7 @@ TEST(ParallelAggregateTest, InterruptedPoolRunCheckpointsTheSerialSlots) {
 
 TEST(ParallelAggregateTest, PipelinedSimTimeOverlapsTransfers) {
   LustreCluster cluster = testing::make_populated_cluster(150, 95);
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
   const AggregationResult agg = aggregate(scan.results);
   // Overlapped finish time is bounded by the barriered accounting and
   // can never beat the slowest scanner alone.

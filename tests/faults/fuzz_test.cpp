@@ -68,9 +68,8 @@ void random_corruptions(LustreCluster& cluster, Rng& rng, int count) {
 }
 
 std::size_t unpaired_count(const LustreCluster& cluster) {
-  return aggregate(scan_cluster(cluster).results)
-      .graph.unpaired_edges()
-      .size();
+  ClusterScan scan = scan_cluster(cluster);
+  return aggregate(scan.results).graph.unpaired_edges().size();
 }
 
 class FuzzCampaignTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -10,7 +10,7 @@ namespace faultyrank {
 namespace {
 
 UnifiedGraph scan_to_graph(const LustreCluster& cluster) {
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
   return aggregate(scan.results).graph;
 }
 

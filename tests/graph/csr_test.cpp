@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -108,8 +111,165 @@ TEST(CsrTest, DoubleReverseIsIdentity) {
 TEST(CsrTest, BytesAccountsForAllArrays) {
   const std::vector<GidEdge> edges = {{0, 1, EdgeKind::kGeneric}};
   const Csr csr = Csr::build(2, edges);
-  // offsets: 3 u64, targets: 1 u32, kinds: 1 u8 — capacity may exceed.
-  EXPECT_GE(csr.bytes(), 3 * 8 + 4 + 1u);
+  // offsets: 3 u64, targets: 1 u32, kinds: 1 u8.
+  EXPECT_EQ(csr.bytes(), 3 * 8 + 4 + 1u);
+}
+
+// ---- The one builder, against the counting sort it replaced ----------
+
+/// The counting-sort build Csr::build ran before CsrBuilder existed,
+/// kept as the oracle: count per source, place through a cursor array,
+/// sort each list by (target, kind).
+struct OracleCsr {
+  std::vector<std::uint64_t> offsets;
+  std::vector<Gid> targets;
+  std::vector<EdgeKind> kinds;
+};
+
+OracleCsr counting_sort_oracle(std::size_t vertex_count,
+                               const std::vector<GidEdge>& edges) {
+  OracleCsr csr;
+  csr.offsets.assign(vertex_count + 1, 0);
+  for (const auto& e : edges) ++csr.offsets[e.src + 1];
+  std::partial_sum(csr.offsets.begin(), csr.offsets.end(),
+                   csr.offsets.begin());
+  csr.targets.resize(edges.size());
+  csr.kinds.resize(edges.size());
+  std::vector<std::uint64_t> cursor(csr.offsets.begin(),
+                                    csr.offsets.end() - 1);
+  for (const auto& e : edges) {
+    const std::uint64_t slot = cursor[e.src]++;
+    csr.targets[slot] = e.dst;
+    csr.kinds[slot] = e.kind;
+  }
+  std::vector<std::pair<Gid, EdgeKind>> scratch;
+  for (std::size_t v = 0; v < vertex_count; ++v) {
+    const auto begin = csr.offsets[v];
+    const auto end = csr.offsets[v + 1];
+    scratch.clear();
+    for (auto slot = begin; slot < end; ++slot) {
+      scratch.emplace_back(csr.targets[slot], csr.kinds[slot]);
+    }
+    std::sort(scratch.begin(), scratch.end());
+    for (std::uint64_t i = 0; i < scratch.size(); ++i) {
+      csr.targets[begin + i] = scratch[i].first;
+      csr.kinds[begin + i] = scratch[i].second;
+    }
+  }
+  return csr;
+}
+
+void expect_matches_oracle(const Csr& csr, const OracleCsr& want) {
+  ASSERT_EQ(csr.vertex_count() + 1, want.offsets.size());
+  ASSERT_EQ(csr.edge_count(), want.targets.size());
+  for (std::size_t v = 0; v < want.offsets.size(); ++v) {
+    ASSERT_EQ(csr.offsets()[v], want.offsets[v]) << "vertex " << v;
+  }
+  for (std::uint64_t slot = 0; slot < want.targets.size(); ++slot) {
+    ASSERT_EQ(csr.target(slot), want.targets[slot]) << "slot " << slot;
+    ASSERT_EQ(csr.kind(slot), want.kinds[slot]) << "slot " << slot;
+  }
+  // Exact capacities: (n + 1) offsets, E targets and E kinds.
+  EXPECT_EQ(csr.bytes(), want.offsets.size() * 8 + want.targets.size() * 5);
+}
+
+/// Edges as a scan emits them: every source's edges together, sources
+/// ascending, each list in arbitrary (target, kind) order with repeats.
+/// Degrees run from 0 to past the builder's short-list sort.
+std::vector<GidEdge> scan_order_edges(Rng& rng, std::size_t n) {
+  std::vector<GidEdge> edges;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint64_t degree =
+        rng.below(8) == 0 ? 17 + rng.below(40) : rng.below(6);
+    for (std::uint64_t i = 0; i < degree; ++i) {
+      edges.push_back({static_cast<Gid>(v), static_cast<Gid>(rng.below(n)),
+                       static_cast<EdgeKind>(rng.below(5))});
+      if (rng.below(10) == 0) edges.push_back(edges.back());
+    }
+  }
+  return edges;
+}
+
+/// Scan order with a few sources stepped back: runs of edges from a
+/// source already passed (a duplicate FID's second inode) spliced in,
+/// and one edge from the last vertex (a phantom, whose GID is past every
+/// scanned one) early on, after which its run stays ahead.
+std::vector<GidEdge> stepped_back_edges(Rng& rng, std::size_t n) {
+  std::vector<GidEdge> edges = scan_order_edges(rng, n);
+  if (edges.empty()) return edges;
+  for (int splice = 0; splice < 3; ++splice) {
+    const std::size_t at = 1 + rng.below(edges.size());
+    const Gid passed = edges[rng.below(at)].src;
+    std::vector<GidEdge> dup;
+    for (std::uint64_t i = 0, k = 1 + rng.below(6); i < k; ++i) {
+      dup.push_back({passed, static_cast<Gid>(rng.below(n)),
+                     static_cast<EdgeKind>(rng.below(5))});
+    }
+    edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(at), dup.begin(),
+                 dup.end());
+  }
+  const std::size_t at = rng.below(edges.size() / 2 + 1);
+  edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(at),
+               GidEdge{static_cast<Gid>(n - 1), 0, EdgeKind::kLinkEa});
+  return edges;
+}
+
+class CsrBuilderPropertyTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CsrBuilderPropertyTest, MatchesCountingSortInEveryOrder) {
+  Rng rng(GetParam());
+  const std::size_t n = 1 + rng.below(300);
+  const std::vector<GidEdge> in_order = scan_order_edges(rng, n);
+  std::vector<GidEdge> shuffled = in_order;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  const std::vector<GidEdge> stepped = stepped_back_edges(rng, n);
+  const std::pair<const char*, const std::vector<GidEdge>*> shapes[] = {
+      {"scan order", &in_order},
+      {"shuffled", &shuffled},
+      {"stepped back", &stepped}};
+  for (const auto& [shape, edges] : shapes) {
+    SCOPED_TRACE(shape);
+    const OracleCsr want = counting_sort_oracle(n, *edges);
+    expect_matches_oracle(Csr::build(n, *edges), want);
+    // Fed directly, with a vertex hint short of n and one past it, and
+    // no room reserved for late edges: the same CSR, capacities exact.
+    for (const std::size_t hint : {std::size_t{0}, n / 2, 2 * n}) {
+      CsrBuilder builder(hint, edges->size());
+      for (const GidEdge& e : *edges) builder.add(e.src, e.dst, e.kind);
+      expect_matches_oracle(std::move(builder).finish(n), want);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomEdgeLists, CsrBuilderPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(CsrBuilderTest, OutOfRangeEndpointsThrow) {
+  const std::vector<GidEdge> bad_target = {{0, 1, EdgeKind::kDirent},
+                                           {1, 3, EdgeKind::kDirent}};
+  EXPECT_THROW(Csr::build(3, bad_target), std::out_of_range);
+  const std::vector<GidEdge> bad_source = {{3, 0, EdgeKind::kDirent}};
+  EXPECT_THROW(Csr::build(3, bad_source), std::out_of_range);
+  // A source at or past the vertex count fails finish(), in order or
+  // behind it.
+  CsrBuilder ahead(3, 2);
+  ahead.add(1, 0, EdgeKind::kDirent);
+  ahead.add(5, 0, EdgeKind::kDirent);
+  EXPECT_THROW((void)std::move(ahead).finish(3), std::out_of_range);
+  CsrBuilder behind(3, 2);
+  behind.add(7, 0, EdgeKind::kDirent);
+  behind.add(4, 0, EdgeKind::kDirent);
+  EXPECT_THROW((void)std::move(behind).finish(5), std::out_of_range);
+}
+
+TEST(CsrBuilderTest, EdgeCountMustMatchTheDeclaredOne) {
+  CsrBuilder more(2, 1);
+  more.add(0, 1, EdgeKind::kDirent);
+  EXPECT_THROW(more.add(1, 0, EdgeKind::kLinkEa), std::length_error);
+  CsrBuilder fewer(2, 2);
+  fewer.add(0, 1, EdgeKind::kDirent);
+  EXPECT_THROW((void)std::move(fewer).finish(2), std::logic_error);
 }
 
 // Property sweep: degree sums and offsets invariants on random graphs.

@@ -226,6 +226,105 @@ TEST(PartialGraphTest, WireBytesMatchesSerializedSizeOnRandomPartials) {
   }
 }
 
+// ---- The validated view: the one place the wire is checked ----------
+
+/// The SerdesError message `read` throws, or "" if it succeeds.
+template <typename Read>
+std::string serdes_error(Read&& read) {
+  try {
+    read();
+  } catch (const SerdesError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The view and deserialize() accept and reject exactly the same
+/// buffers, with the same message.
+void expect_same_verdict(const std::vector<std::uint8_t>& bytes,
+                         const std::string& why) {
+  const std::string by_view =
+      serdes_error([&] { (void)PartialGraphView::of(bytes); });
+  const std::string by_copy =
+      serdes_error([&] { (void)PartialGraph::deserialize(bytes); });
+  EXPECT_EQ(by_view, by_copy) << why;
+}
+
+TEST(PartialGraphViewTest, ReadsTheRecordsDeserializeCopies) {
+  for (const PartialGraph& g : {sample_graph(), three_by_three()}) {
+    const std::vector<std::uint8_t> bytes = g.serialize();
+    const PartialGraphView view = PartialGraphView::of(bytes);
+    EXPECT_EQ(view.server(), g.server);
+    ASSERT_EQ(view.vertex_count(), g.vertices.size());
+    ASSERT_EQ(view.edge_count(), g.edges.size());
+    std::vector<VertexRecord> vertices;
+    view.for_each_vertex([&](const VertexRecord& v) { vertices.push_back(v); });
+    std::vector<FidEdge> edges;
+    view.for_each_edge([&](const FidEdge& e) { edges.push_back(e); });
+    EXPECT_EQ(vertices, g.vertices);
+    EXPECT_EQ(edges, g.edges);
+  }
+}
+
+TEST(PartialGraphViewTest, RejectsEveryBadBufferAsDeserializeDoes) {
+  const PartialGraph g = three_by_three();
+  const std::vector<std::uint8_t> bytes = g.serialize();
+  // Every hostile prefix: the encoding cut at each length.
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    const std::vector<std::uint8_t> prefix(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(size));
+    EXPECT_NE(serdes_error([&] { (void)PartialGraphView::of(prefix); }), "")
+        << size;
+    expect_same_verdict(prefix, "prefix of " + std::to_string(size));
+  }
+  // Magic and version.
+  for (const std::size_t at : {std::size_t{0}, std::size_t{4}}) {
+    auto hostile = bytes;
+    hostile[at] ^= 0xff;
+    expect_same_verdict(hostile, "header byte " + std::to_string(at));
+  }
+  // Impossible kind bytes: every vertex and edge record, and a kind
+  // byte that is bad together with trailing bytes (the kind is reported
+  // first, as deserialize always did).
+  const std::size_t vertices_at = vertex_count_at(g) + 8;
+  const std::size_t edges_at = edge_count_at(g) + 8;
+  std::vector<std::size_t> kind_bytes;
+  for (std::size_t i = 0; i < g.vertices.size(); ++i) {
+    kind_bytes.push_back(vertices_at + i * 17 + 16);
+  }
+  for (std::size_t i = 0; i < g.edges.size(); ++i) {
+    kind_bytes.push_back(edges_at + i * 33 + 32);
+  }
+  for (const std::size_t at : kind_bytes) {
+    for (const int kind : {5, 0xff}) {
+      auto hostile = bytes;
+      hostile[at] = static_cast<std::uint8_t>(kind);
+      EXPECT_NE(serdes_error([&] { (void)PartialGraphView::of(hostile); }),
+                "");
+      expect_same_verdict(hostile, "kind byte at " + std::to_string(at));
+      hostile.push_back(0);
+      EXPECT_NE(serdes_error([&] { (void)PartialGraphView::of(hostile); })
+                    .find("impossible"),
+                std::string::npos);
+      expect_same_verdict(hostile, "kind byte and trailing byte");
+    }
+  }
+  // Trailing bytes, counts that claim too much, counts that wrap.
+  auto trailing = bytes;
+  trailing.push_back(0);
+  expect_same_verdict(trailing, "trailing byte");
+  for (const std::uint64_t count :
+       {std::uint64_t{4}, UINT64_MAX / 33 + 1, UINT64_MAX}) {
+    auto claims = bytes;
+    write_u64(claims, edge_count_at(g), count);
+    expect_same_verdict(claims, "edge count " + std::to_string(count));
+    auto vertex_claims = bytes;
+    write_u64(vertex_claims, vertex_count_at(g), count);
+    expect_same_verdict(vertex_claims,
+                        "vertex count " + std::to_string(count));
+  }
+}
+
 std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const std::uint8_t byte : bytes) {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "faults/injector.h"
+#include "scanner/scanner.h"
 #include "testing/fixtures.h"
+#include "testing/graph_equal.h"
 
 namespace faultyrank {
 namespace {
@@ -117,6 +126,99 @@ TEST(UnifiedGraphTest, AggregationOrderIsDeterministic) {
 
 TEST(UnifiedGraphTest, BytesIsNonZeroForNonEmptyGraph) {
   EXPECT_GT(make_fig3_graph().bytes(), 0u);
+}
+
+// ---- Merging shipped partials in place, from their FRPG bytes --------
+
+/// Random partials with every interning wrinkle: FIDs from three dense
+/// sequences plus versioned and far-out ones (index overflow), FIDs
+/// scanned twice (within and across partials), scan-order edges from
+/// each scanned vertex, and edges from and to FIDs nobody scanned.
+std::vector<PartialGraph> random_partials(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto fid = [&rng] {
+    const std::uint64_t seq = 0x200000400 + rng.below(3);
+    switch (rng.below(8)) {
+      case 0:
+        return Fid{seq, static_cast<std::uint32_t>(rng()), 0};
+      case 1:
+        return Fid{seq, static_cast<std::uint32_t>(rng.below(200)), 1};
+      default:
+        return Fid{seq, static_cast<std::uint32_t>(rng.below(200)), 0};
+    }
+  };
+  const auto edge_kind = [&rng] { return static_cast<EdgeKind>(rng.below(5)); };
+  std::vector<PartialGraph> partials(1 + rng.below(4));
+  for (std::size_t p = 0; p < partials.size(); ++p) {
+    PartialGraph& g = partials[p];
+    g.server = (p == 0 ? "mds" : "oss") + std::to_string(p);
+    for (std::uint64_t i = 0, k = rng.below(120); i < k; ++i) {
+      g.add_vertex(fid(), static_cast<ObjectKind>(rng.below(5)));
+    }
+    for (std::size_t i = 0; i < g.vertices.size(); ++i) {
+      for (std::uint64_t j = 0, k = rng.below(5); j < k; ++j) {
+        g.add_edge(g.vertices[i].fid, fid(), edge_kind());
+      }
+      if (rng.below(20) == 0) g.add_edge(fid(), fid(), edge_kind());
+    }
+  }
+  return partials;
+}
+
+/// Merges `partials` as the aggregator does: the first (and any named
+/// local) read where it lies, every other one through a view of its
+/// FRPG bytes; and again from decoded copies. Both must be the same
+/// graph.
+void expect_bytes_merge_equals_copies_merge(
+    const std::vector<PartialGraph>& partials,
+    const std::vector<bool>& local) {
+  std::vector<std::vector<std::uint8_t>> wire(partials.size());
+  for (std::size_t i = 0; i < partials.size(); ++i) {
+    if (!local[i]) wire[i] = partials[i].serialize();
+  }
+  std::vector<PartialSource> sources;
+  std::vector<PartialGraph> decoded;
+  for (std::size_t i = 0; i < partials.size(); ++i) {
+    if (local[i]) {
+      sources.emplace_back(&partials[i]);
+      decoded.push_back(partials[i]);
+    } else {
+      sources.emplace_back(PartialGraphView::of(wire[i]));
+      decoded.push_back(PartialGraph::deserialize(wire[i]));
+    }
+  }
+  testing::expect_identical(UnifiedGraph::aggregate(decoded),
+                            UnifiedGraph::aggregate(sources));
+}
+
+TEST(UnifiedGraphTest, MergingRandomPartialsFromBytesEqualsMergingCopies) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<PartialGraph> partials = random_partials(seed);
+    std::vector<bool> local(partials.size(), false);
+    local[0] = true;
+    expect_bytes_merge_equals_copies_merge(partials, local);
+  }
+}
+
+TEST(UnifiedGraphTest, MergingTwoMdtClusterFromBytesEqualsMergingCopies) {
+  LustreCluster cluster(4, StripePolicy{64 * 1024, -1}, 2);
+  NamespaceConfig config;
+  config.file_count = 400;
+  config.seed = 11;
+  populate_namespace(cluster, config);
+  FaultInjector injector(cluster, 12);
+  injector.inject_campaign(6);  // duplicate ids, dangling ids, phantoms
+  const ClusterScan scan = scan_cluster(cluster);
+  std::vector<PartialGraph> partials;
+  std::vector<bool> local;
+  for (const ScanResult& result : scan.results) {
+    partials.push_back(result.graph);
+    local.push_back(result.local_to_mds);
+  }
+  // Only mds0's partial is local; mds1's crosses the wire as an OSS's.
+  ASSERT_EQ(std::count(local.begin(), local.end(), true), 1);
+  expect_bytes_merge_equals_copies_merge(partials, local);
 }
 
 }  // namespace

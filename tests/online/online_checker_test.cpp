@@ -26,7 +26,8 @@ TEST(OnlineCheckerTest, BootstrapMatchesOfflineScan) {
   checker.bootstrap();
   const UnifiedGraph online = checker.graph().freeze();
 
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  ClusterScan scan = scan_cluster(cluster);
+  const AggregationResult offline = aggregate(scan.results);
   EXPECT_EQ(online.vertex_count(), offline.graph.vertex_count());
   EXPECT_EQ(online.edge_count(), offline.graph.edge_count());
   EXPECT_EQ(online.unpaired_edges().size(),
@@ -88,7 +89,8 @@ TEST(OnlineCheckerTest, OstRecordsIgnoreTheTypeByteLikeTheOfflineScan) {
   OnlineChecker checker(cluster);
   checker.bootstrap();
   const UnifiedGraph online = checker.graph().freeze();
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  ClusterScan scan = scan_cluster(cluster);
+  const AggregationResult offline = aggregate(scan.results);
   ASSERT_EQ(online.vertex_count(), offline.graph.vertex_count());
   for (Gid v = 0; v < offline.graph.vertex_count(); ++v) {
     const Fid& fid = offline.graph.vertices().fid_of(v);
@@ -123,7 +125,8 @@ TEST(OnlineCheckerTest, CatchUpTracksNamespaceChurn) {
 
   // The online graph must agree with a fresh offline scan, healthily.
   const UnifiedGraph snapshot = checker.graph().freeze();
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  ClusterScan scan = scan_cluster(cluster);
+  const AggregationResult offline = aggregate(scan.results);
   EXPECT_EQ(snapshot.vertex_count(), offline.graph.vertex_count());
   EXPECT_EQ(snapshot.edge_count(), offline.graph.edge_count());
   EXPECT_TRUE(snapshot.unpaired_edges().empty());
@@ -504,7 +507,8 @@ TEST(OnlineCheckerTest, DuplicateIdDetectionMatchesOffline) {
   OnlineChecker checker(cluster);
   checker.bootstrap();
   const UnifiedGraph online = checker.graph().freeze();
-  const AggregationResult offline = aggregate(scan_cluster(cluster).results);
+  ClusterScan scan = scan_cluster(cluster);
+  const AggregationResult offline = aggregate(scan.results);
   EXPECT_EQ(online.vertex_count(), offline.graph.vertex_count());
   EXPECT_EQ(online.edge_count(), offline.graph.edge_count());
   const Gid dup = online.vertices().lookup(truth.current);

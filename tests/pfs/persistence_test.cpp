@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "aggregator/aggregator.h"
 #include "faults/injector.h"
@@ -37,8 +41,10 @@ TEST(PersistenceTest, LoadedClusterScansToIdenticalGraph) {
   save_cluster(original, path);
   LustreCluster loaded = load_cluster(path);
 
-  const AggregationResult a = aggregate(scan_cluster(original).results);
-  const AggregationResult b = aggregate(scan_cluster(loaded).results);
+  ClusterScan original_scan = scan_cluster(original);
+  ClusterScan loaded_scan = scan_cluster(loaded);
+  const AggregationResult a = aggregate(original_scan.results);
+  const AggregationResult b = aggregate(loaded_scan.results);
   ASSERT_EQ(a.graph.vertex_count(), b.graph.vertex_count());
   ASSERT_EQ(a.graph.edge_count(), b.graph.edge_count());
   for (Gid v = 0; v < a.graph.vertex_count(); ++v) {
@@ -57,7 +63,8 @@ TEST(PersistenceTest, SnapshotPreservesCorruption) {
   // The offline checker workflow: load the unmounted image, check it.
   LustreCluster loaded = load_cluster(path);
   EXPECT_FALSE(verify_restored(loaded, truth));
-  const AggregationResult agg = aggregate(scan_cluster(loaded).results);
+  ClusterScan scan = scan_cluster(loaded);
+  const AggregationResult agg = aggregate(scan.results);
   EXPECT_FALSE(agg.graph.unpaired_edges().empty());
   std::remove(path.c_str());
 }
@@ -72,7 +79,8 @@ TEST(PersistenceTest, LoadedClusterRemainsFullyOperational) {
   const Fid dir = loaded.mkdir(loaded.root(), "post_load");
   const Fid file = loaded.create_file(dir, "new.dat", 100 * 1024);
   EXPECT_EQ(loaded.resolve("/post_load/new.dat"), file);
-  const AggregationResult agg = aggregate(scan_cluster(loaded).results);
+  ClusterScan scan = scan_cluster(loaded);
+  const AggregationResult agg = aggregate(scan.results);
   EXPECT_TRUE(agg.graph.unpaired_edges().empty());
   std::remove(path.c_str());
 }
@@ -116,6 +124,49 @@ TEST(PersistenceTest, ImpossibleInodeTypeThrows) {
                PersistenceError);
   forged.type = InodeType::kOstObject;
   EXPECT_NO_THROW((void)deserialize_image(serialize_image(image)));
+}
+
+// An image stores its in-use count, and the cluster's inode totals
+// read it (repair keys its LMA index on them, namespace generation its
+// name salt). A count that disagrees with the in-use slots is corrupt:
+// forged to 0, to 2^64 - 1 or one off either way, on an MDT and an OST
+// image, it fails the load, and the honest count still loads.
+TEST(PersistenceTest, ForgedInUseCountIsRejected) {
+  const LustreCluster cluster = testing::make_populated_cluster(150, 34, 2);
+  // LdiskfsImage::serialize ends with the in-use count, the OI count and
+  // the OI's 24-byte entries; an undamaged image's OI holds one entry
+  // per in-use inode.
+  const auto forged_bytes = [](const LdiskfsImage& image,
+                               std::uint64_t count) {
+    std::vector<std::uint8_t> bytes = serialize_image(image);
+    const std::uint64_t in_use = image.inodes_in_use();
+    const std::size_t count_at = bytes.size() - 24 * in_use - 16;
+    std::uint64_t stored[2];
+    std::memcpy(stored, bytes.data() + count_at, sizeof stored);
+    EXPECT_EQ(stored[0], in_use);
+    EXPECT_EQ(stored[1], in_use);
+    std::memcpy(bytes.data() + count_at, &count, sizeof count);
+    return bytes;
+  };
+  for (const LdiskfsImage* image :
+       {&cluster.mdt_server(0).image, &cluster.osts()[0].image}) {
+    SCOPED_TRACE(image->label());
+    const std::uint64_t in_use = image->inodes_in_use();
+    ASSERT_GT(in_use, 1u);
+    for (const std::uint64_t count :
+         {std::uint64_t{0}, ~std::uint64_t{0}, in_use - 1, in_use + 1}) {
+      try {
+        (void)deserialize_image(forged_bytes(*image, count));
+        ADD_FAILURE() << "in-use count " << count << " loaded";
+      } catch (const PersistenceError& error) {
+        EXPECT_NE(std::string(error.what()).find("in-use count"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+    EXPECT_EQ(deserialize_image(forged_bytes(*image, in_use)).inodes_in_use(),
+              in_use);
+  }
 }
 
 TEST(PersistenceTest, FreeSlotTypeByteIsNotChecked) {

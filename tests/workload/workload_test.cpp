@@ -161,7 +161,7 @@ TEST(AgingTest, AgedClusterStaysConsistent) {
   config.seed = 107;
   age_cluster(cluster, config, 2, 0.3);
   // Aging through the namespace API never breaks metadata invariants.
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
   const AggregationResult agg = aggregate(scan.results);
   EXPECT_TRUE(agg.graph.unpaired_edges().empty());
 }
@@ -175,7 +175,7 @@ TEST(NamespaceGenTest, HardLinksAreCreatedAndConsistent) {
   config.seed = 108;
   const NamespaceStats stats = populate_namespace(cluster, config);
   EXPECT_GT(stats.hard_links, 20u);
-  const ClusterScan scan = scan_cluster(cluster);
+  ClusterScan scan = scan_cluster(cluster);
   const AggregationResult agg = aggregate(scan.results);
   EXPECT_TRUE(agg.graph.unpaired_edges().empty());
 }
