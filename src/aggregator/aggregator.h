@@ -38,26 +38,6 @@
 
 namespace faultyrank {
 
-/// Strict-mode pipeline failure: at least one server scan failed and
-/// degraded operation was not allowed. Unlike a bare exception from a
-/// single scanner task, this is raised only after every scan has run to
-/// completion, and it names every failed server.
-class PipelineError : public std::runtime_error {
- public:
-  PipelineError(const std::string& message,
-                std::vector<std::string> failed_servers)
-      : std::runtime_error(message),
-        failed_servers_(std::move(failed_servers)) {}
-
-  [[nodiscard]] const std::vector<std::string>& failed_servers()
-      const noexcept {
-    return failed_servers_;
-  }
-
- private:
-  std::vector<std::string> failed_servers_;
-};
-
 /// Raised by the interrupt_after_servers test hook after the checkpoint
 /// has been flushed — the caller resumes by re-running with the same
 /// checkpoint_path.
@@ -103,8 +83,9 @@ struct AggregationResult {
                                           ThreadPool* pool = nullptr);
 
 /// Everything the fault-tolerant pipeline can be asked to do beyond a
-/// plain scan: operational faults to inject, retry budget, whether a
-/// failed server degrades or aborts the run, and checkpointing.
+/// plain scan: operational faults to inject, retry budget, and
+/// checkpointing. A failed server always degrades the run: it is
+/// dropped from the graph and named in PipelineResult::failed_servers.
 struct PipelineConfig {
   ThreadPool* pool = nullptr;
   DiskModel mdt_disk = DiskModel::ssd();
@@ -113,10 +94,6 @@ struct PipelineConfig {
   /// Operational fault schedule; nullptr scans fault-free.
   OpFaultSchedule* faults = nullptr;
   RetryPolicy retry;
-  /// true: failed servers are dropped and reported via coverage /
-  /// failed_servers. false: after every scan has finished, throw
-  /// PipelineError naming all failed servers.
-  bool allow_degraded = true;
   /// Non-empty: load this checkpoint if present (resuming completed
   /// scans), and save after each completed scan. The write is atomic.
   std::string checkpoint_path;
@@ -155,8 +132,8 @@ struct PipelineResult {
 /// for any pool size.
 ///
 /// Fault tolerance: a server crash or blown deadline never aborts the
-/// run in degraded mode — the survivors' partials form the unified
-/// graph and agg.coverage records exactly what was lost. With a
+/// run — the survivors' partials form the unified graph, and
+/// agg.coverage and failed_servers record exactly what was lost. With a
 /// checkpoint path, completed scans persist across interruptions in
 /// slot order, so an interrupted run leaves the same checkpoint with or
 /// without a pool, and a resumed run reproduces the uninterrupted run's

@@ -8,11 +8,11 @@ namespace faultyrank {
 
 namespace {
 
-BeeRepairOutcome failure(const RepairAction& action, std::string detail) {
+RepairOutcome failure(const RepairAction& action, std::string detail) {
   return {action, false, std::move(detail)};
 }
 
-BeeRepairOutcome success(const RepairAction& action, std::string detail) {
+RepairOutcome success(const RepairAction& action, std::string detail) {
   return {action, true, std::move(detail)};
 }
 
@@ -43,7 +43,7 @@ BeeChunkFile* BeeRepairExecutor::find_chunk(const Fid& identity) {
   return nullptr;
 }
 
-BeeRepairOutcome BeeRepairExecutor::apply(const RepairAction& action) {
+RepairOutcome BeeRepairExecutor::apply(const RepairAction& action) {
   switch (action.kind) {
     case RepairKind::kAddBackPointer: return add_back_pointer(action);
     case RepairKind::kOverwriteId: return overwrite_id(action);
@@ -55,16 +55,15 @@ BeeRepairOutcome BeeRepairExecutor::apply(const RepairAction& action) {
   return failure(action, "unknown repair kind");
 }
 
-std::vector<BeeRepairOutcome> BeeRepairExecutor::apply_all(
+std::vector<RepairOutcome> BeeRepairExecutor::apply_all(
     const RepairPlan& plan) {
-  std::vector<BeeRepairOutcome> outcomes;
+  std::vector<RepairOutcome> outcomes;
   outcomes.reserve(plan.size());
   for (const RepairAction& action : plan) outcomes.push_back(apply(action));
   return outcomes;
 }
 
-BeeRepairOutcome BeeRepairExecutor::add_back_pointer(
-    const RepairAction& action) {
+RepairOutcome BeeRepairExecutor::add_back_pointer(const RepairAction& action) {
   switch (action.edge_kind) {
     case EdgeKind::kLinkEa: {
       BeeMetaInode* inode =
@@ -130,7 +129,7 @@ BeeRepairOutcome BeeRepairExecutor::add_back_pointer(
   return failure(action, "unhandled edge kind");
 }
 
-BeeRepairOutcome BeeRepairExecutor::overwrite_id(const RepairAction& action) {
+RepairOutcome BeeRepairExecutor::overwrite_id(const RepairAction& action) {
   if (is_meta_fid(action.target)) {
     BeeMetaInode* inode =
         cluster_.meta().find(entry_id_from_fid(action.target));
@@ -157,8 +156,7 @@ BeeRepairOutcome BeeRepairExecutor::overwrite_id(const RepairAction& action) {
   return success(action, "chunk file renamed");
 }
 
-BeeRepairOutcome BeeRepairExecutor::relink_property(
-    const RepairAction& action) {
+RepairOutcome BeeRepairExecutor::relink_property(const RepairAction& action) {
   switch (action.edge_kind) {
     case EdgeKind::kDirent: {
       auto& dentries =
@@ -219,8 +217,7 @@ BeeRepairOutcome BeeRepairExecutor::relink_property(
   return failure(action, "unhandled edge kind");
 }
 
-BeeRepairOutcome BeeRepairExecutor::remove_reference(
-    const RepairAction& action) {
+RepairOutcome BeeRepairExecutor::remove_reference(const RepairAction& action) {
   switch (action.edge_kind) {
     case EdgeKind::kDirent: {
       auto& dentries =
@@ -276,7 +273,7 @@ BeeRepairOutcome BeeRepairExecutor::remove_reference(
   return failure(action, "unhandled edge kind");
 }
 
-BeeRepairOutcome BeeRepairExecutor::quarantine(const RepairAction& action) {
+RepairOutcome BeeRepairExecutor::quarantine(const RepairAction& action) {
   if (!is_meta_fid(action.target)) {
     return failure(action,
                    "chunk quarantine requires an owner stub; not supported "
@@ -305,9 +302,9 @@ BeeCheckResult run_bee_checker(BeeCluster& cluster,
   const auto run_pass = [&cluster, &config] {
     BeeCheckResult result;
     const std::vector<BeeScanResult> scans = scan_bee_cluster(cluster);
-    std::vector<PartialGraph> partials;
+    std::vector<PartialSource> partials;
     partials.reserve(scans.size());
-    for (const BeeScanResult& scan : scans) partials.push_back(scan.graph);
+    for (const BeeScanResult& scan : scans) partials.emplace_back(&scan.graph);
     const UnifiedGraph graph = UnifiedGraph::aggregate(partials);
 
     result.ranks = run_faultyrank(graph, config.rank);

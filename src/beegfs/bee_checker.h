@@ -4,7 +4,6 @@
 // dentry/xattr/chunk-file writes.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "beegfs/bee_cluster.h"
@@ -14,30 +13,24 @@
 
 namespace faultyrank {
 
-struct BeeRepairOutcome {
-  RepairAction action;
-  bool applied = false;
-  std::string detail;
-};
-
 /// Applies detector repairs to a BeeGFS cluster.
 class BeeRepairExecutor {
  public:
   explicit BeeRepairExecutor(BeeCluster& cluster) : cluster_(cluster) {}
 
-  BeeRepairOutcome apply(const RepairAction& action);
-  std::vector<BeeRepairOutcome> apply_all(const RepairPlan& plan);
+  RepairOutcome apply(const RepairAction& action);
+  std::vector<RepairOutcome> apply_all(const RepairPlan& plan);
 
  private:
   /// Which storage target a chunk-identity fid lives on, or -1.
   [[nodiscard]] int target_of(const Fid& fid) const;
   [[nodiscard]] BeeChunkFile* find_chunk(const Fid& identity);
 
-  BeeRepairOutcome add_back_pointer(const RepairAction& action);
-  BeeRepairOutcome overwrite_id(const RepairAction& action);
-  BeeRepairOutcome relink_property(const RepairAction& action);
-  BeeRepairOutcome remove_reference(const RepairAction& action);
-  BeeRepairOutcome quarantine(const RepairAction& action);
+  RepairOutcome add_back_pointer(const RepairAction& action);
+  RepairOutcome overwrite_id(const RepairAction& action);
+  RepairOutcome relink_property(const RepairAction& action);
+  RepairOutcome remove_reference(const RepairAction& action);
+  RepairOutcome quarantine(const RepairAction& action);
 
   BeeCluster& cluster_;
 };
@@ -55,7 +48,7 @@ struct BeeCheckResult {
   std::uint64_t vertices = 0;
   std::uint64_t edges = 0;
   std::uint64_t unpaired_edges = 0;
-  std::vector<BeeRepairOutcome> repair_outcomes;
+  std::vector<RepairOutcome> repair_outcomes;
   std::size_t repairs_applied = 0;
   bool verified_consistent = false;
 };

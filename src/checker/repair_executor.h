@@ -14,19 +14,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/repair.h"
 #include "pfs/cluster.h"
 
 namespace faultyrank {
-
-struct RepairOutcome {
-  RepairAction action;
-  bool applied = false;
-  std::string detail;
-};
 
 class RepairExecutor {
  public:

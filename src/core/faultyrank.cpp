@@ -62,32 +62,6 @@ double reduce_block_sum(ThreadPool* pool, std::size_t n,
   return total;
 }
 
-/// Deterministic max of term(v) over [0, n) (same block scheme; max is
-/// order-insensitive but the blocks keep the parallel writes disjoint).
-template <typename Term>
-double reduce_block_max(ThreadPool* pool, std::size_t n,
-                        std::vector<double>& blocks, const Term& term) {
-  const std::size_t nb = block_count(n);
-  blocks.assign(nb, 0.0);
-  const auto body = [&](std::size_t bb, std::size_t be, std::size_t) {
-    for (std::size_t b = bb; b < be; ++b) {
-      const std::size_t begin = b * kRankReductionBlock;
-      const std::size_t end = std::min(n, begin + kRankReductionBlock);
-      double acc = 0.0;
-      for (std::size_t v = begin; v < end; ++v) acc = std::max(acc, term(v));
-      blocks[b] = acc;
-    }
-  };
-  if (pool == nullptr || pool->size() <= 1 || nb <= 1) {
-    if (nb > 0) body(0, nb, 0);
-  } else {
-    pool->parallel_for(nb, body);
-  }
-  double total = 0.0;
-  for (std::size_t b = 0; b < nb; ++b) total = std::max(total, blocks[b]);
-  return total;
-}
-
 void validate_config(const FaultyRankConfig& config) {
   if (config.epsilon <= 0.0) {
     throw std::invalid_argument("faultyrank: epsilon must be positive");
@@ -125,19 +99,11 @@ RankVectors initial_ranks(const FaultyRankConfig& config, std::size_t n) {
   return vectors;
 }
 
-/// Converts the raw block-reduced diffs into the configured norm —
-/// shared verbatim by both kernels so the scalar arithmetic matches.
-double scale_diff(const FaultyRankConfig& config, double l1, double max_delta,
-                  double inv_n) {
-  double diff = l1;
-  if (config.diff_norm == DiffNorm::kL1Mass) {
-    diff *= inv_n / config.initial_rank;
-  } else if (config.diff_norm == DiffNorm::kL1Mean) {
-    diff *= inv_n;
-  } else if (config.diff_norm == DiffNorm::kLInf) {
-    diff = max_delta;
-  }
-  return diff;
+/// The convergence diff: the L1 change of id_rank relative to total
+/// mass, Σ|Δ| / (N·initial_rank) — shared verbatim by both kernels so the
+/// scalar arithmetic matches.
+double scale_diff(const FaultyRankConfig& config, double l1, double inv_n) {
+  return l1 * (inv_n / config.initial_rank);
 }
 
 /// Mass is conserved, so the mean equals the initialization's mean —
@@ -192,7 +158,7 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
 
   const double inv_n = 1.0 / static_cast<double>(n);
   const std::size_t nb = block_count(n);
-  std::vector<double> block_l1(nb), block_max(nb), block_sink(nb);
+  std::vector<double> block_l1(nb), block_sink(nb);
 
   const bool parallel =
       pool != nullptr && pool->size() > 1 && n >= kRankSerialGrain;
@@ -253,16 +219,14 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
       auto sink_pos = std::lower_bound(rev_sinks.begin(), rev_sinks.end(),
                                        static_cast<Gid>(begin));
       double l1 = 0.0;
-      double max_delta = 0.0;
       double sink_acc = 0.0;
       std::size_t block = begin / kRankReductionBlock;
       for (std::size_t v = begin; v < end; ++v) {
         const std::size_t b = v / kRankReductionBlock;
         if (b != block) {
           block_l1[block] = l1;
-          block_max[block] = max_delta;
           block_sink[block] = sink_acc;
-          l1 = max_delta = sink_acc = 0.0;
+          l1 = sink_acc = 0.0;
           block = b;
         }
         const auto gv = static_cast<Gid>(v);
@@ -271,28 +235,23 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
             sink_share + gather(rev_targets + s0, coeff_rev + s0,
                                 reverse.edges_end(gv) - s0, prop_rank.data());
         next[v] = acc;
-        const double delta = std::abs(acc - id_rank[v]);
-        l1 += delta;
-        max_delta = std::max(max_delta, delta);
+        l1 += std::abs(acc - id_rank[v]);
         if (sink_pos != rev_sinks.end() && *sink_pos == gv) {
           sink_acc += acc;
           ++sink_pos;
         }
       }
       block_l1[block] = l1;
-      block_max[block] = max_delta;
       block_sink[block] = sink_acc;
     });
 
     double diff_l1 = 0.0;
-    double diff_max = 0.0;
     double sink2_sum = 0.0;
     for (std::size_t b = 0; b < nb; ++b) {
       diff_l1 += block_l1[b];
-      diff_max = std::max(diff_max, block_max[b]);
       sink2_sum += block_sink[b];
     }
-    diff = scale_diff(config, diff_l1, diff_max, inv_n);
+    diff = scale_diff(config, diff_l1, inv_n);
     id_rank.swap(next);
 
     // ---- Pass 2: prop_rank from id_rank over G_R (pull via G), with
@@ -333,30 +292,6 @@ FaultyRankResult run_planned(const UnifiedGraph& graph,
       result.converged = true;
       break;
     }
-  }
-
-  if (config.separate_properties) {
-    // One decomposition pass from the converged id ranks: split each
-    // vertex's pass-2 gather by the kind of the out-edge carrying it
-    // (the reversed-sink share is global and excluded by construction —
-    // those slots carry coefficient 0). Plain sequential accumulation,
-    // exactly like the reference kernel's decomposition pass.
-    result.prop_rank_by_kind.assign(kEdgeKindCount,
-                                    std::vector<double>(n, 0.0));
-    run_pass(fwd_bounds,
-             [&](std::size_t begin, std::size_t end, std::size_t) {
-               for (std::size_t v = begin; v < end; ++v) {
-                 const auto gv = static_cast<Gid>(v);
-                 const std::uint64_t slots_end = forward.edges_end(gv);
-                 for (std::uint64_t slot = forward.edges_begin(gv);
-                      slot < slots_end; ++slot) {
-                   const auto kind =
-                       static_cast<std::size_t>(forward.kind(slot));
-                   result.prop_rank_by_kind[kind][v] +=
-                       id_rank[forward.target(slot)] * coeff_fwd[slot];
-                 }
-               }
-             });
   }
 
   result.mean_rank = mean_rank_of(id_rank);
@@ -477,20 +412,10 @@ FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
           }
         });
 
-    // One chunked reduction in the configured norm (the kLInf path used
-    // to pay a discarded L1 reduce plus a serial max on the calling
-    // thread).
-    if (config.diff_norm == DiffNorm::kLInf) {
-      const double max_delta = reduce_block_max(
-          pool, n, blocks,
-          [&](std::size_t v) { return std::abs(next[v] - id_rank[v]); });
-      diff = scale_diff(config, 0.0, max_delta, inv_n);
-    } else {
-      const double l1 = reduce_block_sum(
-          pool, n, blocks,
-          [&](std::size_t v) { return std::abs(next[v] - id_rank[v]); });
-      diff = scale_diff(config, l1, 0.0, inv_n);
-    }
+    const double l1 = reduce_block_sum(
+        pool, n, blocks,
+        [&](std::size_t v) { return std::abs(next[v] - id_rank[v]); });
+    diff = scale_diff(config, l1, inv_n);
     id_rank.swap(next);
 
     // ---- Pass 2: prop_rank from id_rank over G_R (pull via G). ----
@@ -537,30 +462,6 @@ FaultyRankResult run_faultyrank_reference(const UnifiedGraph& graph,
       result.converged = true;
       break;
     }
-  }
-
-  if (config.separate_properties) {
-    // One decomposition pass from the converged id ranks: split each
-    // vertex's pass-2 gather by the kind of the out-edge carrying it
-    // (the reversed-sink share is global and excluded by construction).
-    result.prop_rank_by_kind.assign(kEdgeKindCount,
-                                    std::vector<double>(n, 0.0));
-    run_chunked(pool, n,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-                  for (std::size_t v = begin; v < end; ++v) {
-                    const auto gv = static_cast<Gid>(v);
-                    for (auto slot = forward.edges_begin(gv);
-                         slot < forward.edges_end(gv); ++slot) {
-                      const Gid t = forward.target(slot);
-                      const double denom = reversed_weighted_degree[t];
-                      if (denom == 0.0) continue;
-                      const double w =
-                          graph.paired(slot) ? 1.0 : config.unpaired_weight;
-                      result.prop_rank_by_kind[static_cast<std::size_t>(
-                          forward.kind(slot))][v] += id_rank[t] * (w / denom);
-                    }
-                  }
-                });
   }
 
   result.mean_rank = mean_rank_of(id_rank);

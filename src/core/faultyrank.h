@@ -21,6 +21,10 @@
 // rank stays exactly 1, which makes the detection threshold θ (paper:
 // 0.1) a scale-free "10 % of an average object's credibility".
 //
+// The loop stops on Alg. 1's one test: the change of the id ranks
+// falls below ε (FaultyRankConfig::epsilon gives the scale). Per-property
+// credibility is the paper's future work (§VIII) and is not computed.
+//
 // The implementation is the pull-style transposition of Alg. 1's push
 // loops: pass 1 gathers over in-neighbours via the reversed CSR, pass 2
 // gathers over out-neighbours via the forward CSR. Pull form is
@@ -68,21 +72,13 @@ inline constexpr std::size_t kRankSerialGrain = 2048;
 /// reduction block never splits across chunks.
 inline constexpr std::size_t kRankReductionBlock = 1024;
 
-/// How the per-iteration change of id_rank is measured for convergence.
-enum class DiffNorm {
-  /// Σ|Δ| / (N·initial_rank): the L1 change relative to total mass.
-  /// This is the scale the paper's numbers live on (its Table II ranks
-  /// sum to 1), and the only reading under which its "ε = 0.1 …
-  /// typically fewer than 20 iterations" holds for million-vertex
-  /// graphs. Default.
-  kL1Mass,
-  kL1,      ///< Σ|Δ| — the literal Alg. 1 quantity
-  kL1Mean,  ///< Σ|Δ|/N
-  kLInf,    ///< max|Δ|
-};
-
 struct FaultyRankConfig {
-  /// Convergence threshold ε on the id_rank diff (paper: 0.1).
+  /// Convergence threshold ε on the per-iteration change of id_rank,
+  /// measured as Σ|Δ| / (N·initial_rank): the L1 change relative to
+  /// total mass (paper: 0.1). This is the scale the paper's numbers
+  /// live on (its Table II ranks sum to 1), and the only reading under
+  /// which its "ε = 0.1 … typically fewer than 20 iterations" holds for
+  /// million-vertex graphs.
   double epsilon = 0.1;
   /// Hard iteration cap (the paper observes < 20 iterations at ε=0.1).
   std::size_t max_iterations = 100;
@@ -90,34 +86,19 @@ struct FaultyRankConfig {
   double unpaired_weight = 0.1;
   /// Initial id_rank and prop_rank per vertex (Alg. 1: 1.0).
   double initial_rank = 1.0;
-  DiffNorm diff_norm = DiffNorm::kL1Mass;
   /// Warm start: borrowed initial rank vectors (size must equal the
   /// graph's vertex count; both set or both null). An online checker
   /// re-checking a slightly-changed graph converges in fewer iterations
   /// from the previous fixpoint than from the uniform initialization.
   const std::vector<double>* initial_id_ranks = nullptr;
   const std::vector<double>* initial_prop_ranks = nullptr;
-  /// Paper §VIII future work: additionally decompose each vertex's
-  /// property credibility per property kind (DIRENT / LinkEA / LOVEA /
-  /// ObjLinkEA), so one corrupted extended attribute can be told apart
-  /// from its healthy siblings on the same object. Fills
-  /// FaultyRankResult::prop_rank_by_kind from the converged id ranks.
-  bool separate_properties = false;
 };
-
-/// Number of distinct property kinds tracked by the per-kind split.
-inline constexpr std::size_t kEdgeKindCount = 5;
 
 struct FaultyRankResult {
   std::vector<double> id_rank;
   std::vector<double> prop_rank;
-  /// Per-kind decomposition of prop_rank (empty unless
-  /// separate_properties was set): prop_rank_by_kind[kind][v] is the
-  /// credit v's properties of that kind earn from the converged id
-  /// ranks. Summing over kinds and adding the reversed-sink share
-  /// reproduces prop_rank exactly.
-  std::vector<std::vector<double>> prop_rank_by_kind;
   std::size_t iterations = 0;
+  /// The last iteration's id_rank change, on epsilon's scale.
   double final_diff = 0.0;
   bool converged = false;
 

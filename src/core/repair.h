@@ -1,8 +1,10 @@
 // Repair actions recommended by the detector (paper §III-F).
 //
 // Actions are expressed against FIDs, not PFS internals, so the planner
-// stays file-system-agnostic; the checker's RepairExecutor translates
-// them into concrete EA/DIRENT writes on the simulated Lustre cluster.
+// stays file-system-agnostic. Each substrate's executor translates them
+// into concrete writes (RepairExecutor: EA/DIRENT writes on the simulated
+// Lustre cluster; BeeRepairExecutor: BeeGFS dentry/xattr/chunk-file
+// writes) and reports one RepairOutcome per action.
 #pragma once
 
 #include <string>
@@ -65,5 +67,13 @@ struct RepairAction {
 };
 
 using RepairPlan = std::vector<RepairAction>;
+
+/// What a substrate's repair executor did with one action: applied, or
+/// refused with the reason in `detail`.
+struct RepairOutcome {
+  RepairAction action;
+  bool applied = false;
+  std::string detail;
+};
 
 }  // namespace faultyrank

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/sim_clock.h"
 #include "common/timer.h"
 
 namespace faultyrank {
@@ -13,6 +14,19 @@ std::size_t LfsckResult::count(LfsckActionKind kind) const {
 }
 
 namespace {
+
+// ---- Cost model (paper §V-C2), calibrated against Table VI's
+// ~0.33 ms/inode aggregate rate ----
+/// Random metadata read per inode visited (LFSCK walks inodes
+/// individually rather than streaming whole tables).
+constexpr double kInodeReadSeconds = 40e-6;
+/// Per-inode checking logic.
+constexpr double kPerInodeCpuSeconds = 10e-6;
+/// Synchronous MDS↔OSS verification round trip per referenced object.
+constexpr RpcModel kRpc{.round_trip_seconds = 20e-6};
+/// Multiplier for the blocking between LFSCK's coupled kernel threads
+/// ("any delay in the pipeline may block others significantly").
+constexpr double kPipelineStallFactor = 1.3;
 
 /// Moves an unnamed MDT object into lost+found (LFSCK's catch-all).
 void mdt_orphan_to_lost_found(LustreCluster& cluster, const Fid& fid,
@@ -241,12 +255,12 @@ LfsckResult run_lfsck(LustreCluster& cluster, const LfsckConfig& config) {
   // Cost model: per-inode random metadata reads + one synchronous RPC
   // per verification, serialized through the coupled pipeline.
   const double io_seconds =
-      static_cast<double>(result.inodes_checked) * config.inode_read_seconds;
-  const double rpc_seconds = config.rpc.calls(result.rpcs_issued);
+      static_cast<double>(result.inodes_checked) * kInodeReadSeconds;
+  const double rpc_seconds = kRpc.calls(result.rpcs_issued);
   const double cpu_seconds =
-      static_cast<double>(result.inodes_checked) * config.per_inode_cpu_seconds;
+      static_cast<double>(result.inodes_checked) * kPerInodeCpuSeconds;
   result.sim_seconds =
-      config.pipeline_stall_factor * (io_seconds + rpc_seconds + cpu_seconds);
+      kPipelineStallFactor * (io_seconds + rpc_seconds + cpu_seconds);
   return result;
 }
 

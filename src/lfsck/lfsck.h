@@ -18,14 +18,14 @@
 // The cost model reproduces the paper's §V-C2 analysis of why LFSCK is
 // slow: per-inode processing with a synchronous MDS↔OSS verification
 // RPC per referenced object, all serialized through closely-coupled
-// pipeline stages (the stall factor).
+// pipeline stages (the stall factor). Its four costs are constants in
+// lfsck.cpp, calibrated against Table VI.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/sim_clock.h"
 #include "pfs/cluster.h"
 
 namespace faultyrank {
@@ -62,18 +62,6 @@ struct LfsckEvent {
 
 struct LfsckConfig {
   bool repair = true;  ///< false = dry run (report only)
-  // ---- cost model (paper §V-C2), calibrated against Table VI's
-  // ~0.33 ms/inode aggregate rate ----
-  /// Random metadata read per inode visited (LFSCK walks inodes
-  /// individually rather than streaming whole tables).
-  double inode_read_seconds = 40e-6;
-  /// Per-inode checking logic.
-  double per_inode_cpu_seconds = 10e-6;
-  /// Synchronous MDS↔OSS verification round trip per referenced object.
-  RpcModel rpc{.round_trip_seconds = 20e-6};
-  /// Multiplier for the blocking between LFSCK's coupled kernel threads
-  /// ("any delay in the pipeline may block others significantly").
-  double pipeline_stall_factor = 1.3;
 };
 
 struct LfsckResult {

@@ -151,7 +151,6 @@ TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
   ThreadPool pool(4);
   PipelineConfig config;
   config.pool = &pool;
-  config.allow_degraded = false;
   const PipelineResult streamed = scan_and_aggregate(cluster, config);
 
   testing::expect_identical(batch.graph, streamed.agg.graph);

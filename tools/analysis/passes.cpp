@@ -211,8 +211,8 @@ std::vector<Violation> run_determinism_pass(
               !line_allows(file, toks[p].line, "determinism-reduction")) {
             out.push_back({file.path, toks[p].line, "determinism-reduction",
                            "std::accumulate inside a parallel_for lambda — "
-                           "use the fixed-block reduction helpers "
-                           "(core/faultyrank.cpp reduce_block_sum/_max) to "
+                           "use the fixed-block reduction helper "
+                           "(core/faultyrank.cpp reduce_block_sum) to "
                            "keep sums bit-identical across pool sizes",
                            "determinism-reduction|" + file.path +
                                "|accumulate"});
@@ -871,8 +871,8 @@ void check_no_c_random(const SourceFile& file, std::vector<Violation>& out) {
 }
 
 /// no-iostream-in-lib: <iostream> drags static-init order and
-/// unsynchronized stream state into library code, which logs through
-/// common/logging.h instead.
+/// unsynchronized stream state into library code, which prints nothing:
+/// it returns text, and tools/ and bench/ print it via <cstdio>.
 void check_no_iostream(const SourceFile& file, std::vector<Violation>& out) {
   for (std::size_t n = 0; n < file.scrubbed.size(); ++n) {
     if (without_space(file.scrubbed[n]).find("#include<iostream>") ==
@@ -881,8 +881,8 @@ void check_no_iostream(const SourceFile& file, std::vector<Violation>& out) {
       continue;
     }
     out.push_back({file.path, n + 1, "no-iostream-in-lib",
-                   "<iostream> in library code — log through "
-                   "common/logging.h",
+                   "<iostream> in library code — return text and "
+                   "print it from tools/ or bench/ via <cstdio>",
                    "no-iostream-in-lib|" + file.path});
   }
 }

@@ -19,7 +19,7 @@
 //                           additions by scheduling, breaking the
 //                           bit-identical-across-pool-sizes guarantee.
 //                           Reductions go through the fixed-block
-//                           helpers (reduce_block_sum/_max) or write
+//                           helper (reduce_block_sum) or write
 //                           disjoint indexed slots.
 //
 // Interprocedural (call-graph summaries, analysis/summaries.h):
@@ -81,7 +81,8 @@
 //                           flows through common/random.h so runs
 //                           reproduce from one seed.
 //   no-iostream-in-lib      #include <iostream> in library code (src/),
-//                           which logs through common/logging.h.
+//                           which prints nothing: it returns text, and
+//                           tools/ and bench/ print it via <cstdio>.
 //   no-unbounded-retry      A condition-driven loop (`while`,
 //                           `for (;;)`, or a `for` whose header talks
 //                           about retrying) mentioning retry/backoff

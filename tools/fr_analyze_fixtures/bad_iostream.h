@@ -1,6 +1,7 @@
 // EXPECT: no-iostream-in-lib
-// Library code logs through common/logging.h; <iostream> drags in
-// static-init ordering and unsynchronized stream state.
+// Library code prints nothing (tools/ and bench/ print via <cstdio>);
+// <iostream> drags in static-init ordering and unsynchronized stream
+// state.
 #pragma once
 
 #include <iostream>
