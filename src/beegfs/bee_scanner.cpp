@@ -1,5 +1,7 @@
 #include "beegfs/bee_scanner.h"
 
+#include <algorithm>
+
 namespace faultyrank {
 
 Fid chunk_identity(std::uint32_t target, const std::string& name) {
@@ -12,14 +14,15 @@ Fid chunk_identity(std::uint32_t target, const std::string& name) {
   return Fid{0xbee0deadULL + target, hash, 0};
 }
 
-BeeScanResult scan_bee_meta(const BeeMetaServer& meta, const DiskModel& disk) {
-  BeeScanResult result;
+ScanResult scan_bee_meta(const BeeMetaServer& meta, const DiskModel& disk) {
+  ScanResult result;
   result.graph.server = "bee-meta";
+  result.local_to_mds = true;
 
   std::uint64_t dentry_files = 0;
   for (const BeeMetaInode& inode : meta.inodes) {
     if (!inode.in_use) continue;
-    ++result.entries_scanned;
+    ++result.inodes_scanned;
     const auto self = fid_from_entry_id(inode.entry_id);
     if (!self) continue;  // unreadable id: nothing to key the vertex on
     const ObjectKind kind = inode.type == BeeEntryType::kDirectory
@@ -53,18 +56,18 @@ BeeScanResult scan_bee_meta(const BeeMetaServer& meta, const DiskModel& disk) {
   // Cost model: metadata is many small files — every inode file and
   // dentry file is a random read.
   result.sim_seconds =
-      disk.random_reads(result.entries_scanned + dentry_files, 512);
+      disk.random_reads(result.inodes_scanned + dentry_files, 512);
   return result;
 }
 
-BeeScanResult scan_bee_target(const BeeStorageTarget& target,
-                              const DiskModel& disk) {
-  BeeScanResult result;
+ScanResult scan_bee_target(const BeeStorageTarget& target,
+                           const DiskModel& disk) {
+  ScanResult result;
   result.graph.server = "bee-storage" + std::to_string(target.index);
 
   for (const BeeChunkFile& chunk : target.chunks) {
     if (!chunk.in_use) continue;
-    ++result.entries_scanned;
+    ++result.inodes_scanned;
     result.graph.add_vertex(chunk_identity(target.index, chunk.name),
                             ObjectKind::kStripeObject);
     if (const auto owner = fid_from_entry_id(chunk.xattr_origin)) {
@@ -72,18 +75,26 @@ BeeScanResult scan_bee_target(const BeeStorageTarget& target,
                             EdgeKind::kObjParent);
     }
   }
-  result.sim_seconds = disk.random_reads(result.entries_scanned, 512);
+  result.sim_seconds = disk.random_reads(result.inodes_scanned, 512);
   return result;
 }
 
-std::vector<BeeScanResult> scan_bee_cluster(const BeeCluster& cluster) {
-  std::vector<BeeScanResult> results;
-  results.reserve(1 + cluster.targets().size());
-  results.push_back(scan_bee_meta(cluster.meta()));
+ClusterScan scan_bee_cluster(const BeeCluster& cluster,
+                             const DiskModel& meta_disk,
+                             const DiskModel& target_disk) {
+  ClusterScan scan;
+  scan.results.reserve(1 + cluster.targets().size());
+  scan.results.push_back(scan_bee_meta(cluster.meta(), meta_disk));
   for (const BeeStorageTarget& target : cluster.targets()) {
-    results.push_back(scan_bee_target(target));
+    scan.results.push_back(scan_bee_target(target, target_disk));
   }
-  return results;
+  for (const ScanResult& result : scan.results) {
+    // Each server scans its own disks concurrently; the cluster-level
+    // virtual scan time is the slowest server.
+    scan.sim_seconds = std::max(scan.sim_seconds, result.sim_seconds);
+    scan.inodes_scanned += result.inodes_scanned;
+  }
+  return scan;
 }
 
 }  // namespace faultyrank

@@ -1,8 +1,9 @@
 // BeeGFS scanner: walks the meta server's inode files + dentry
 // directories and every storage target's chunk directories, emitting
-// the same FID-keyed partial graphs the Lustre scanner produces — the
-// point where the two filesystems converge onto the shared FaultyRank
-// core (paper §VI).
+// the same ScanResults the Lustre scanner produces — the point where
+// the two filesystems converge onto the shared FaultyRank core (paper
+// §VI). The meta server hosts the aggregator, so its partial graph is
+// local; every storage target's crosses the wire.
 //
 // Vertex identities:
 //   * namespace entries — the FID encoded in the entry-id string;
@@ -20,15 +21,9 @@
 
 #include "beegfs/bee_cluster.h"
 #include "common/sim_clock.h"
-#include "graph/partial_graph.h"
+#include "scanner/scanner.h"
 
 namespace faultyrank {
-
-struct BeeScanResult {
-  PartialGraph graph;
-  double sim_seconds = 0.0;
-  std::uint64_t entries_scanned = 0;
-};
 
 /// The chunk-vertex identity for a chunk file named `name` on `target`.
 /// Unparseable names (corrupted renames) hash into a quarantine
@@ -36,14 +31,18 @@ struct BeeScanResult {
 [[nodiscard]] Fid chunk_identity(std::uint32_t target,
                                  const std::string& name);
 
-[[nodiscard]] BeeScanResult scan_bee_meta(const BeeMetaServer& meta,
-                                          const DiskModel& disk = DiskModel::ssd());
+/// Scans the meta server; inodes_scanned counts its in-use entries.
+[[nodiscard]] ScanResult scan_bee_meta(const BeeMetaServer& meta,
+                                       const DiskModel& disk = DiskModel::ssd());
 
-[[nodiscard]] BeeScanResult scan_bee_target(const BeeStorageTarget& target,
-                                            const DiskModel& disk = DiskModel::hdd());
+/// Scans one storage target; inodes_scanned counts its in-use chunks.
+[[nodiscard]] ScanResult scan_bee_target(const BeeStorageTarget& target,
+                                         const DiskModel& disk = DiskModel::hdd());
 
-/// Scans every server; results[0] is the meta server.
-[[nodiscard]] std::vector<BeeScanResult> scan_bee_cluster(
-    const BeeCluster& cluster);
+/// Scans every server: results[0] is the meta server, then the
+/// targets in order.
+[[nodiscard]] ClusterScan scan_bee_cluster(
+    const BeeCluster& cluster, const DiskModel& meta_disk = DiskModel::ssd(),
+    const DiskModel& target_disk = DiskModel::hdd());
 
 }  // namespace faultyrank

@@ -1,7 +1,10 @@
 #include "checker/checker.h"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "beegfs/bee_repair_executor.h"
+#include "beegfs/bee_scanner.h"
 #include "common/timer.h"
 #include "pfs/persistence.h"
 
@@ -9,10 +12,37 @@ namespace faultyrank {
 
 namespace {
 
+/// The tail of every pass once the partials are merged: graph counts,
+/// the Table VI timings, then rank and detect. `root` is exempt from
+/// the unreferenced check.
+CheckerResult rank_and_detect(const ClusterScan& scan,
+                              const AggregationResult& aggregated,
+                              const Fid& root, const CheckerConfig& config) {
+  CheckerResult result;
+  result.coverage = aggregated.coverage;
+  result.timings.t_scan_sim = scan.sim_seconds;
+  result.inodes_scanned = scan.inodes_scanned;
+  result.timings.t_graph_sim =
+      std::max(0.0, aggregated.sim_pipeline_seconds - scan.sim_seconds);
+  result.timings.t_graph_wall = aggregated.wall_seconds;
+  result.vertices = aggregated.graph.vertex_count();
+  result.edges = aggregated.graph.edge_count();
+  result.unpaired_edges = aggregated.graph.unpaired_edges().size();
+
+  WallTimer fr_timer;
+  result.ranks = run_faultyrank(aggregated.graph, config.rank, config.pool);
+  DetectorConfig detector_config;
+  detector_config.threshold = config.detection_threshold;
+  detector_config.root = root;
+  detector_config.coverage = aggregated.coverage;
+  result.report =
+      detect_inconsistencies(aggregated.graph, result.ranks, detector_config);
+  result.timings.t_fr_wall = fr_timer.seconds();
+  return result;
+}
+
 /// One scan→aggregate→rank→detect pass; repairs are the caller's call.
 CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
-  CheckerResult result;
-
   // Scans and encode + merge run on the pool; graph and sim numbers are
   // identical to a serial run. Degraded mode: with a fault schedule, a
   // crashed server shrinks coverage rather than aborting the check.
@@ -23,58 +53,68 @@ CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
   pipeline_config.net = config.net;
   pipeline_config.faults = config.faults;
   const PipelineResult pipeline = scan_and_aggregate(cluster, pipeline_config);
-  const ClusterScan& scan = pipeline.scan;
-  result.coverage = pipeline.agg.coverage;
+  CheckerResult result =
+      rank_and_detect(pipeline.scan, pipeline.agg, cluster.root(), config);
   result.failed_servers = pipeline.failed_servers;
-  const AggregationResult& aggregated = pipeline.agg;
-  result.timings.t_scan_sim = scan.sim_seconds;
-  result.inodes_scanned = scan.inodes_scanned;
+  return result;
+}
 
-  result.timings.t_graph_sim =
-      std::max(0.0, aggregated.sim_pipeline_seconds - scan.sim_seconds);
-  result.timings.t_graph_wall = aggregated.wall_seconds;
-  result.vertices = aggregated.graph.vertex_count();
-  result.edges = aggregated.graph.edge_count();
-  result.unpaired_edges = aggregated.graph.unpaired_edges().size();
-  result.graph_bytes = aggregated.graph.bytes();
+/// The same pass over a BeeGFS cluster. The scan is serial; encode,
+/// merge and rank run on the pool.
+CheckerResult run_pass(BeeCluster& cluster, const CheckerConfig& config) {
+  ClusterScan scan =
+      scan_bee_cluster(cluster, config.mdt_disk, config.ost_disk);
+  const AggregationResult aggregated =
+      aggregate(scan.results, config.net, config.pool);
+  return rank_and_detect(scan, aggregated,
+                         fid_from_entry_id(cluster.root()).value_or(Fid{}),
+                         config);
+}
 
-  WallTimer fr_timer;
-  result.ranks = run_faultyrank(aggregated.graph, config.rank, config.pool);
-  DetectorConfig detector_config;
-  detector_config.threshold = config.detection_threshold;
-  detector_config.root = cluster.root();
-  detector_config.coverage = pipeline.agg.coverage;
-  result.report =
-      detect_inconsistencies(aggregated.graph, result.ranks, detector_config);
-  result.timings.t_fr_wall = fr_timer.seconds();
+/// A whole check: one pass, then the repair→verify tail. When the pass
+/// found something and repairs are on, `repair(result)` applies
+/// result.report's plan and returns the outcomes; a re-check pass then
+/// verifies convergence if asked.
+template <typename Cluster, typename Repair>
+CheckerResult check(Cluster& cluster, const CheckerConfig& config,
+                    Repair&& repair) {
+  CheckerResult result = run_pass(cluster, config);
+  if (config.apply_repairs && !result.report.consistent()) {
+    result.repair_outcomes = repair(result);
+    for (const auto& outcome : result.repair_outcomes) {
+      if (outcome.applied) ++result.repairs_applied;
+    }
+    if (config.verify_after_repair) {
+      result.verified_consistent =
+          run_pass(cluster, config).report.consistent();
+    }
+  } else if (config.verify_after_repair) {
+    result.verified_consistent = result.report.consistent();
+  }
   return result;
 }
 
 }  // namespace
 
 CheckerResult run_checker(LustreCluster& cluster, const CheckerConfig& config) {
-  CheckerResult result = run_pass(cluster, config);
+  return check(cluster, config, [&](CheckerResult& result) {
+    if (config.capture_undo) result.undo_image = serialize_cluster(cluster);
+    return RepairExecutor(cluster).apply_all(result.report.repair_plan());
+  });
+}
 
-  if (config.apply_repairs && !result.report.consistent()) {
-    if (config.capture_undo) {
-      result.undo_image = serialize_cluster(cluster);
-    }
-    RepairExecutor executor(cluster);
-    result.repair_outcomes = executor.apply_all(result.report.repair_plan());
-    for (const auto& outcome : result.repair_outcomes) {
-      if (outcome.applied) ++result.repairs_applied;
-    }
-    if (config.verify_after_repair) {
-      CheckerConfig verify_config = config;
-      verify_config.apply_repairs = false;
-      verify_config.verify_after_repair = false;
-      const CheckerResult recheck = run_pass(cluster, verify_config);
-      result.verified_consistent = recheck.report.consistent();
-    }
-  } else if (config.verify_after_repair) {
-    result.verified_consistent = result.report.consistent();
+CheckerResult run_checker(BeeCluster& cluster, const CheckerConfig& config) {
+  if (config.faults != nullptr) {
+    throw std::invalid_argument(
+        "CheckerConfig::faults: BeeGFS models no operational faults");
   }
-  return result;
+  if (config.capture_undo) {
+    throw std::invalid_argument(
+        "CheckerConfig::capture_undo: BeeGFS has no undo image");
+  }
+  return check(cluster, config, [&](const CheckerResult& result) {
+    return BeeRepairExecutor(cluster).apply_all(result.report.repair_plan());
+  });
 }
 
 }  // namespace faultyrank

@@ -3,6 +3,11 @@
 // iterations → detect + attribute inconsistencies → (optionally) apply
 // the recommended repairs and verify by re-scanning.
 //
+// One checker for both backends (paper §VI): a Lustre and a BeeGFS
+// check differ only in their scanners and repair executors. Both merge
+// through aggregate() and share the rank → detect tail and the
+// repair → verify tail.
+//
 // The timing breakdown matches Table VI's three columns:
 //   T_scan  — parallel per-server metadata scanning
 //   T_graph — transfer + merge + FID remap + CSR build
@@ -12,6 +17,7 @@
 #include <cstdint>
 
 #include "aggregator/aggregator.h"
+#include "beegfs/bee_cluster.h"
 #include "checker/repair_executor.h"
 #include "core/detector.h"
 #include "core/faultyrank.h"
@@ -31,7 +37,7 @@ struct CheckerConfig {
   bool apply_repairs = false;
   /// Capture a full pre-repair snapshot into CheckerResult::undo_image
   /// before mutating anything (e2fsck-undo-file style); restore it with
-  /// deserialize_cluster to roll every repair back.
+  /// deserialize_cluster to roll every repair back. Lustre only.
   bool capture_undo = false;
   /// After repairing, re-scan and re-check to confirm convergence to a
   /// consistent state (counts as a second full pass; not timed into the
@@ -40,7 +46,7 @@ struct CheckerConfig {
   /// Operational fault schedule for the scan phase; nullptr scans
   /// fault-free. With faults, the check runs in degraded mode: a
   /// crashed server reduces coverage instead of aborting, and findings
-  /// whose evidence was lost come back unverifiable.
+  /// whose evidence was lost come back unverifiable. Lustre only.
   OpFaultSchedule* faults = nullptr;
 };
 
@@ -70,7 +76,6 @@ struct CheckerResult {
   std::uint64_t edges = 0;
   std::uint64_t unpaired_edges = 0;
   std::uint64_t inodes_scanned = 0;
-  std::uint64_t graph_bytes = 0;
 
   std::vector<RepairOutcome> repair_outcomes;
   std::size_t repairs_applied = 0;
@@ -89,6 +94,14 @@ struct CheckerResult {
 
 /// Runs the complete pipeline against `cluster`.
 [[nodiscard]] CheckerResult run_checker(LustreCluster& cluster,
+                                        const CheckerConfig& config = {});
+
+/// Runs the same pipeline against a BeeGFS cluster. The meta server
+/// scans with mdt_disk and is local to the aggregator; the storage
+/// targets scan with ost_disk and ship their partials over `net`.
+/// BeeGFS models neither `faults` nor `capture_undo`: either one set
+/// throws std::invalid_argument naming it, before anything is scanned.
+[[nodiscard]] CheckerResult run_checker(BeeCluster& cluster,
                                         const CheckerConfig& config = {});
 
 }  // namespace faultyrank

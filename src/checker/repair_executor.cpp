@@ -8,14 +8,6 @@ namespace faultyrank {
 
 namespace {
 
-RepairOutcome failure(const RepairAction& action, std::string detail) {
-  return {action, false, std::move(detail)};
-}
-
-RepairOutcome success(const RepairAction& action, std::string detail) {
-  return {action, true, std::move(detail)};
-}
-
 /// A claimant packs (server position, ino) so that ascending order is
 /// the order a raw scan meets inodes: server by server, MDTs first,
 /// then slot by slot (ino = slot + 1).

@@ -4,10 +4,12 @@
 // stays file-system-agnostic. Each substrate's executor translates them
 // into concrete writes (RepairExecutor: EA/DIRENT writes on the simulated
 // Lustre cluster; BeeRepairExecutor: BeeGFS dentry/xattr/chunk-file
-// writes) and reports one RepairOutcome per action.
+// writes) and reports one RepairOutcome per action, built by success()
+// or failure().
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fid.h"
@@ -75,5 +77,15 @@ struct RepairOutcome {
   bool applied = false;
   std::string detail;
 };
+
+[[nodiscard]] inline RepairOutcome success(const RepairAction& action,
+                                           std::string detail) {
+  return {action, true, std::move(detail)};
+}
+
+[[nodiscard]] inline RepairOutcome failure(const RepairAction& action,
+                                           std::string detail) {
+  return {action, false, std::move(detail)};
+}
 
 }  // namespace faultyrank

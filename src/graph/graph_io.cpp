@@ -1,10 +1,8 @@
 #include "graph/graph_io.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace faultyrank {
 
@@ -75,42 +73,6 @@ EdgeListFile read_edge_list(const std::string& path) {
     }
     e = {pair[0], pair[1], EdgeKind::kGeneric};
   }
-  return result;
-}
-
-EdgeListFile read_snap_text(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) fail("open for read failed", path);
-
-  EdgeListFile result;
-  std::unordered_map<std::uint64_t, Gid> compact;
-  const auto intern = [&](std::uint64_t raw) {
-    const auto [it, inserted] =
-        compact.emplace(raw, static_cast<Gid>(compact.size()));
-    (void)inserted;
-    return it->second;
-  };
-
-  char line[256];
-  std::size_t line_number = 0;
-  while (std::fgets(line, sizeof(line), f.get()) != nullptr) {
-    ++line_number;
-    const char* cursor = line;
-    while (*cursor == ' ' || *cursor == '\t') ++cursor;
-    if (*cursor == '#' || *cursor == '\n' || *cursor == '\0') continue;
-    char* end = nullptr;
-    const std::uint64_t src = std::strtoull(cursor, &end, 10);
-    if (end == cursor) {
-      fail("unparseable line " + std::to_string(line_number) + " in", path);
-    }
-    cursor = end;
-    const std::uint64_t dst = std::strtoull(cursor, &end, 10);
-    if (end == cursor) {
-      fail("unparseable line " + std::to_string(line_number) + " in", path);
-    }
-    result.edges.push_back({intern(src), intern(dst), EdgeKind::kGeneric});
-  }
-  result.vertex_count = compact.size();
   return result;
 }
 

@@ -26,10 +26,4 @@ void write_edge_list(const std::string& path, std::uint64_t vertex_count,
 /// Reads a file written by write_edge_list.
 [[nodiscard]] EdgeListFile read_edge_list(const std::string& path);
 
-/// Reads a SNAP-style text edge list ("src<ws>dst" per line, '#'
-/// comments ignored), so the Table III/IV benches can run against the
-/// real Amazon/roadNet downloads when they are available. Vertex ids
-/// are compacted to 0…N-1 in first-appearance order.
-[[nodiscard]] EdgeListFile read_snap_text(const std::string& path);
-
 }  // namespace faultyrank

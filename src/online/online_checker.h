@@ -92,9 +92,6 @@ class OnlineChecker {
   [[nodiscard]] OnlineCheckResult check();
 
   [[nodiscard]] const MutableMetadataGraph& graph() const { return graph_; }
-  [[nodiscard]] std::uint64_t changelog_cursor() const noexcept {
-    return cursor_;
-  }
 
  private:
   /// A raw inode slot (server index, 1-based ino) observed to carry a

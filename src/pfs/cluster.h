@@ -148,7 +148,6 @@ class LustreCluster {
   /// CrashUnwind to abandon the op half-applied (see pfs/crash.h). The
   /// hook must outlive the attachment. Not serialized with snapshots.
   void attach_crash_hook(CrashHook* hook) noexcept { crash_hook_ = hook; }
-  [[nodiscard]] CrashHook* crash_hook() const noexcept { return crash_hook_; }
 
  private:
   // Snapshot persistence reconstructs private state directly.

@@ -40,12 +40,6 @@ struct Inode {
   std::uint32_t uid = 0;
   std::uint32_t gid = 0;
 
-  /// Approximate on-disk footprint of the inode + inline EAs (ext4
-  /// "large" inode). The scanner's disk model charges this per inode.
-  [[nodiscard]] std::uint64_t on_disk_bytes() const noexcept {
-    return 512;
-  }
-
   /// Approximate size of the directory data blocks holding `dirents`.
   [[nodiscard]] std::uint64_t dirent_bytes() const noexcept {
     std::uint64_t total = 0;

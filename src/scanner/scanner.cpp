@@ -23,6 +23,14 @@ namespace {
 // LdiskfsImage::inode_table_bytes()).
 constexpr std::uint64_t kSlotBytes = 512;
 
+// Backoff between re-reads of a faulted inode (RetryPolicy): the first
+// pause, its growth per retry, its cap, and the most seeded jitter
+// added to it, as a fraction of the pause.
+constexpr double kInitialBackoffSeconds = 1e-3;
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffSeconds = 100e-3;
+constexpr double kJitterFraction = 0.1;
+
 // Disk-cost inputs the walk accumulates beyond the table stream and the
 // directories visited; they stay zero on an OST, whose scan is a pure
 // inode-table stream.
@@ -94,7 +102,7 @@ bool inode_has_ea(const Inode& inode) {
 bool read_with_retries(ServerFaultSchedule& faults, const RetryPolicy& retry,
                        const DiskModel& disk, std::uint64_t slot, bool has_ea,
                        ScanResult& result, SimClock& fault_clock) {
-  double backoff = retry.initial_backoff_seconds;
+  double backoff = kInitialBackoffSeconds;
   for (std::uint32_t attempt = 1; attempt <= retry.max_attempts; ++attempt) {
     faults.on_read();
     ++result.read_attempts;
@@ -104,11 +112,11 @@ bool read_with_retries(ServerFaultSchedule& faults, const RetryPolicy& retry,
     if (!faulted) return true;
     if (attempt == retry.max_attempts) break;
     ++result.retries;
-    double pause = std::min(backoff, retry.max_backoff_seconds);
-    pause *= 1.0 + retry.jitter_fraction * faults.jitter_unit(slot, attempt);
+    double pause = std::min(backoff, kMaxBackoffSeconds);
+    pause *= 1.0 + kJitterFraction * faults.jitter_unit(slot, attempt);
     // The re-read leaves the streaming position: fresh seek + transfer.
     fault_clock.advance(pause + disk.random_read(kSlotBytes));
-    backoff *= retry.backoff_multiplier;
+    backoff *= kBackoffMultiplier;
   }
   return false;
 }

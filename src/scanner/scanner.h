@@ -49,15 +49,12 @@ enum class ScanStatus : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ScanStatus status) noexcept;
 
-/// Bounded retry with exponential backoff for faulted inode reads.
-/// Every knob is a virtual-time quantity charged to the scan's
-/// DiskModel clock; nothing here sleeps real threads.
+/// Bounded retry for faulted inode reads. Each pause before a re-read
+/// doubles from 1 ms up to a 100 ms cap, plus a seeded jitter of up to
+/// 10 %. Every pause is virtual time charged to the scan's DiskModel
+/// clock; nothing here sleeps real threads.
 struct RetryPolicy {
   std::uint32_t max_attempts = 4;          ///< reads per inode, total
-  double initial_backoff_seconds = 1e-3;   ///< pause before 1st retry
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 100e-3;     ///< cap per pause
-  double jitter_fraction = 0.1;            ///< +[0, frac)·pause, seeded
   /// Abort the scan (status kFailed) once its virtual clock passes
   /// this. Defaults to no deadline.
   double deadline_seconds = std::numeric_limits<double>::infinity();

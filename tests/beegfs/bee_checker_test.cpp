@@ -1,38 +1,26 @@
 // Generality (paper §VI): the unchanged FaultyRank core — rank kernel,
 // detector, categories, repair planning — operating on the BeeGFS
-// substrate through its own scanner and repair executor.
-#include "beegfs/bee_checker.h"
+// substrate through its own scanner and repair executor, in the same
+// run_checker pass and aggregate() merge as Lustre.
+#include "checker/checker.h"
 
 #include <gtest/gtest.h>
 
-#include "common/random.h"
-#include "graph/unified_graph.h"
+#include <stdexcept>
+
+#include "beegfs/bee_scanner.h"
+#include "testing/fixtures.h"
 
 namespace faultyrank {
 namespace {
 
-/// A small populated BeeGFS cluster.
-BeeCluster make_cluster(std::uint64_t seed, std::size_t files = 120) {
-  BeeCluster cluster(4);
-  Rng rng(seed);
-  std::vector<std::string> dirs = {cluster.root()};
-  for (std::size_t i = 0; i < files / 8; ++i) {
-    dirs.push_back(
-        cluster.mkdir(dirs[rng.below(dirs.size())], "d" + std::to_string(i)));
-  }
-  for (std::size_t i = 0; i < files; ++i) {
-    cluster.create_file(dirs[rng.below(dirs.size())],
-                        "f" + std::to_string(i),
-                        64 * 1024 + rng.below(3u << 20));
-  }
-  return cluster;
+BeeCluster make_cluster(std::uint64_t seed) {
+  return testing::make_populated_bee_cluster(seed);
 }
 
 UnifiedGraph scan_to_graph(const BeeCluster& cluster) {
-  const auto scans = scan_bee_cluster(cluster);
-  std::vector<PartialGraph> partials;
-  for (const auto& scan : scans) partials.push_back(scan.graph);
-  return UnifiedGraph::aggregate(partials);
+  ClusterScan scan = scan_bee_cluster(cluster);
+  return aggregate(scan.results).graph;
 }
 
 TEST(BeeScannerTest, HealthyClusterScansFullyPaired) {
@@ -49,9 +37,23 @@ TEST(BeeScannerTest, VertexCountMatchesEntitiesPlusChunks) {
             cluster.meta_inodes_used() + cluster.total_chunks());
 }
 
+TEST(BeeScannerTest, TargetPartialsCrossTheWireAsFrpg) {
+  const BeeCluster cluster = make_cluster(89);
+  ClusterScan scan = scan_bee_cluster(cluster);
+  ASSERT_EQ(scan.results.size(), 1 + cluster.targets().size());
+  EXPECT_TRUE(scan.results[0].local_to_mds);
+  std::uint64_t frpg_bytes = 0;
+  for (std::size_t i = 1; i < scan.results.size(); ++i) {
+    EXPECT_FALSE(scan.results[i].local_to_mds);
+    frpg_bytes += scan.results[i].graph.serialize().size();
+  }
+  EXPECT_GT(frpg_bytes, 0u);
+  EXPECT_EQ(aggregate(scan.results).transferred_bytes, frpg_bytes);
+}
+
 TEST(BeeCheckerTest, HealthyClusterChecksConsistent) {
   BeeCluster cluster = make_cluster(83);
-  const BeeCheckResult result = run_bee_checker(cluster);
+  const CheckerResult result = run_checker(cluster);
   EXPECT_TRUE(result.report.consistent());
   EXPECT_EQ(result.unpaired_edges, 0u);
 }
@@ -64,10 +66,10 @@ TEST(BeeCheckerTest, WipedDentriesDetectedAndRepaired) {
   const std::string f2 = cluster.create_file(dir, "b", 1 << 20);
   cluster.meta().dentries[dir].clear();
 
-  BeeCheckerConfig config;
+  CheckerConfig config;
   config.apply_repairs = true;
   config.verify_after_repair = true;
-  const BeeCheckResult result = run_bee_checker(cluster, config);
+  const CheckerResult result = run_checker(cluster, config);
   EXPECT_FALSE(result.report.consistent());
   EXPECT_TRUE(result.verified_consistent);
   EXPECT_EQ(cluster.meta().dentries[dir].size(), 2u);
@@ -87,10 +89,10 @@ TEST(BeeCheckerTest, CorruptedOriginXattrDetectedAndRepaired) {
     }
   }
 
-  BeeCheckerConfig config;
+  CheckerConfig config;
   config.apply_repairs = true;
   config.verify_after_repair = true;
-  const BeeCheckResult result = run_bee_checker(cluster, config);
+  const CheckerResult result = run_checker(cluster, config);
   EXPECT_FALSE(result.report.consistent());
   EXPECT_TRUE(result.verified_consistent);
   for (const BeeChunkFile& chunk : cluster.targets()[target].chunks) {
@@ -113,10 +115,10 @@ TEST(BeeCheckerTest, RenamedChunkFileDetectedAndReidentified) {
     }
   }
 
-  BeeCheckerConfig config;
+  CheckerConfig config;
   config.apply_repairs = true;
   config.verify_after_repair = true;
-  const BeeCheckResult result = run_bee_checker(cluster, config);
+  const CheckerResult result = run_checker(cluster, config);
   EXPECT_FALSE(result.report.consistent());
   EXPECT_TRUE(result.verified_consistent);
   bool renamed_back = false;
@@ -132,10 +134,10 @@ TEST(BeeCheckerTest, MissingParentXattrRepairedFromDentry) {
   const std::string file = cluster.create_file(dir, "child", 1 << 20);
   cluster.meta().find(file)->parent_entry_id.clear();
 
-  BeeCheckerConfig config;
+  CheckerConfig config;
   config.apply_repairs = true;
   config.verify_after_repair = true;
-  const BeeCheckResult result = run_bee_checker(cluster, config);
+  const CheckerResult result = run_checker(cluster, config);
   EXPECT_TRUE(result.verified_consistent);
   EXPECT_EQ(cluster.meta().find(file)->parent_entry_id, dir);
 }
@@ -145,14 +147,54 @@ TEST(BeeCheckerTest, RepairsAreIdempotent) {
   const std::string file = cluster.create_file(cluster.root(), "z", 1 << 20);
   cluster.meta().find(file)->parent_entry_id = "dead-beef-bee";
 
-  BeeCheckerConfig config;
+  CheckerConfig config;
   config.apply_repairs = true;
   config.verify_after_repair = true;
-  const BeeCheckResult first = run_bee_checker(cluster, config);
+  const CheckerResult first = run_checker(cluster, config);
   EXPECT_TRUE(first.verified_consistent);
-  const BeeCheckResult second = run_bee_checker(cluster, config);
+  const CheckerResult second = run_checker(cluster, config);
   EXPECT_TRUE(second.report.consistent());
   EXPECT_EQ(second.repairs_applied, 0u);
+}
+
+TEST(BeeCheckerTest, CountsEveryEntryAndChunkAndTimesTheScan) {
+  BeeCluster cluster = make_cluster(90);
+  const CheckerResult result = run_checker(cluster);
+  EXPECT_EQ(result.inodes_scanned,
+            cluster.meta_inodes_used() + cluster.total_chunks());
+  EXPECT_EQ(result.vertices,
+            cluster.meta_inodes_used() + cluster.total_chunks());
+  EXPECT_EQ(result.timings.t_scan_sim, scan_bee_cluster(cluster).sim_seconds);
+  EXPECT_GT(result.timings.t_scan_sim, 0.0);
+}
+
+TEST(BeeCheckerTest, RejectsLustreOnlySettingsBeforeScanning) {
+  BeeCluster cluster = make_cluster(91);
+  const std::string dir = cluster.mkdir(cluster.root(), "victim");
+  cluster.create_file(dir, "a", 1 << 20);
+  cluster.meta().dentries[dir].clear();
+
+  const auto rejection = [&cluster](const CheckerConfig& config) {
+    try {
+      (void)run_checker(cluster, config);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("no std::invalid_argument");
+  };
+  OpFaultSchedule faults(OpFaultConfig{});
+  CheckerConfig with_faults;
+  with_faults.apply_repairs = true;
+  with_faults.faults = &faults;
+  EXPECT_NE(rejection(with_faults).find("faults"), std::string::npos);
+  CheckerConfig with_undo;
+  with_undo.apply_repairs = true;
+  with_undo.capture_undo = true;
+  EXPECT_NE(rejection(with_undo).find("capture_undo"), std::string::npos);
+
+  // Nothing was repaired: the wiped dentries are still gone.
+  EXPECT_TRUE(cluster.meta().dentries[dir].empty());
+  EXPECT_FALSE(run_checker(cluster).report.consistent());
 }
 
 }  // namespace

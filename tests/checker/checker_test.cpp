@@ -83,6 +83,12 @@ struct ScenarioCase {
   std::uint64_t seed;
 };
 
+// gtest would otherwise print the struct's bytes, padding included, so
+// the ctest names would change from build to build.
+void PrintTo(const ScenarioCase& c, std::ostream* os) {
+  *os << to_string(c.scenario) << " seed " << c.seed;
+}
+
 class ScenarioSweepTest : public ::testing::TestWithParam<ScenarioCase> {};
 
 TEST_P(ScenarioSweepTest, DetectsRepairsAndRestores) {

@@ -3,7 +3,8 @@
 // unpaired-edge ordering — for any thread count. Interning is serial,
 // so a pooled aggregate differs from a serial one only in the parallel
 // pairing (pairing flags, in-degree splits, unpaired-edge order). Both
-// are also checked against a per-edge has_edge pairing oracle.
+// are also checked against a per-edge has_edge pairing oracle. A pooled
+// BeeGFS check with repairs must match the serial check too.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +15,7 @@
 
 #include "aggregator/aggregator.h"
 #include "aggregator/checkpoint.h"
+#include "checker/checker.h"
 #include "common/thread_pool.h"
 #include "faults/injector.h"
 #include "graph/unified_graph.h"
@@ -215,6 +217,80 @@ TEST(ParallelAggregateTest, PipelinedSimTimeOverlapsTransfers) {
             scan.sim_seconds + agg.sim_transfer_seconds);
   EXPECT_GE(agg.sim_pipeline_seconds, scan.sim_seconds);
   EXPECT_GT(agg.sim_transfer_seconds, 0.0);
+}
+
+// FRPG encoding, the merge and the rank kernel run on the pool; the
+// cluster is large enough (> kRankSerialGrain vertices) that the
+// kernel splits too. Faults on the meta server and on targets give
+// repairs through both.
+TEST(PooledBeeCheckTest, RepairsMatchSerialForAnyPool) {
+  const auto damaged_cluster = [] {
+    BeeCluster cluster = testing::make_populated_bee_cluster(97, 1200);
+    const std::string dir = cluster.mkdir(cluster.root(), "victim");
+    cluster.create_file(dir, "a", 1 << 20);
+    cluster.create_file(dir, "b", 1 << 20);
+    cluster.meta().dentries[dir].clear();
+    const std::string file = cluster.create_file(cluster.root(), "x", 1 << 20);
+    cluster.meta().find(file)->parent_entry_id.clear();
+    for (BeeChunkFile& chunk : cluster.targets()[1].chunks) {
+      if (chunk.in_use) {
+        chunk.xattr_origin = "ffff-9999-bee";
+        break;
+      }
+    }
+    return cluster;
+  };
+  CheckerConfig config;
+  config.apply_repairs = true;
+  config.verify_after_repair = true;
+  BeeCluster serial_cluster = damaged_cluster();
+  const CheckerResult serial = run_checker(serial_cluster, config);
+  ASSERT_GT(serial.vertices, kRankSerialGrain);
+  ASSERT_FALSE(serial.report.consistent());
+  ASSERT_GT(serial.repairs_applied, 0u);
+
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    CheckerConfig pooled_config = config;
+    pooled_config.pool = &pool;
+    BeeCluster cluster = damaged_cluster();
+    const CheckerResult pooled = run_checker(cluster, pooled_config);
+
+    ASSERT_EQ(pooled.ranks.id_rank.size(), serial.ranks.id_rank.size());
+    EXPECT_EQ(pooled.ranks.iterations, serial.ranks.iterations);
+    for (std::size_t v = 0; v < serial.ranks.id_rank.size(); ++v) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled.ranks.id_rank[v]),
+                std::bit_cast<std::uint64_t>(serial.ranks.id_rank[v]))
+          << threads << " threads, gid " << v;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled.ranks.prop_rank[v]),
+                std::bit_cast<std::uint64_t>(serial.ranks.prop_rank[v]))
+          << threads << " threads, gid " << v;
+    }
+    ASSERT_EQ(pooled.report.findings.size(), serial.report.findings.size());
+    for (std::size_t i = 0; i < serial.report.findings.size(); ++i) {
+      const Finding& want = serial.report.findings[i];
+      const Finding& got = pooled.report.findings[i];
+      EXPECT_EQ(got.category, want.category) << i;
+      EXPECT_EQ(got.culprit, want.culprit) << i;
+      EXPECT_EQ(got.source, want.source) << i;
+      EXPECT_EQ(got.target, want.target) << i;
+      EXPECT_EQ(got.edge_kind, want.edge_kind) << i;
+      EXPECT_EQ(got.convicted_object, want.convicted_object) << i;
+      EXPECT_EQ(got.convicted_id_field, want.convicted_id_field) << i;
+      EXPECT_EQ(got.repair, want.repair) << i;
+      EXPECT_EQ(got.note, want.note) << i;
+    }
+    ASSERT_EQ(pooled.repair_outcomes.size(), serial.repair_outcomes.size());
+    for (std::size_t i = 0; i < serial.repair_outcomes.size(); ++i) {
+      EXPECT_EQ(pooled.repair_outcomes[i].action,
+                serial.repair_outcomes[i].action) << i;
+      EXPECT_EQ(pooled.repair_outcomes[i].applied,
+                serial.repair_outcomes[i].applied) << i;
+      EXPECT_EQ(pooled.repair_outcomes[i].detail,
+                serial.repair_outcomes[i].detail) << i;
+    }
+    EXPECT_EQ(pooled.verified_consistent, serial.verified_consistent);
+  }
 }
 
 }  // namespace

@@ -64,43 +64,5 @@ TEST(GraphIoTest, UnwritablePathThrows) {
                std::runtime_error);
 }
 
-
-TEST(SnapTextTest, ParsesCommentsAndCompactsIds) {
-  const std::string path = temp_path("snap.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("# Directed graph\n", f);
-  std::fputs("# FromNodeId\tToNodeId\n", f);
-  std::fputs("1000 2000\n", f);
-  std::fputs("2000\t1000\n", f);
-  std::fputs("  1000   3000\n", f);
-  std::fputs("\n", f);
-  std::fclose(f);
-
-  const EdgeListFile loaded = read_snap_text(path);
-  EXPECT_EQ(loaded.vertex_count, 3u);  // 1000, 2000, 3000 compacted
-  ASSERT_EQ(loaded.edges.size(), 3u);
-  EXPECT_EQ(loaded.edges[0].src, 0u);
-  EXPECT_EQ(loaded.edges[0].dst, 1u);
-  EXPECT_EQ(loaded.edges[1].src, 1u);
-  EXPECT_EQ(loaded.edges[1].dst, 0u);
-  EXPECT_EQ(loaded.edges[2].dst, 2u);
-  std::remove(path.c_str());
-}
-
-TEST(SnapTextTest, RejectsGarbageLines) {
-  const std::string path = temp_path("snap_bad.txt");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("1 2\n", f);
-  std::fputs("not numbers\n", f);
-  std::fclose(f);
-  EXPECT_THROW((void)read_snap_text(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(SnapTextTest, MissingFileThrows) {
-  EXPECT_THROW((void)read_snap_text(temp_path("no_snap.txt")),
-               std::runtime_error);
-}
-
 }  // namespace
 }  // namespace faultyrank

@@ -1,10 +1,12 @@
 // Shared test fixtures: the paper's Fig. 3 example graph, small
-// populated clusters, and random multigraphs.
+// populated Lustre and BeeGFS clusters, and random multigraphs.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "beegfs/bee_cluster.h"
 #include "common/random.h"
 #include "graph/unified_graph.h"
 #include "pfs/cluster.h"
@@ -78,6 +80,25 @@ inline LustreCluster make_populated_cluster(std::uint64_t files = 200,
   config.file_count = files;
   config.seed = seed;
   populate_namespace(cluster, config);
+  return cluster;
+}
+
+/// A small populated BeeGFS cluster: 4 storage targets, `files` files
+/// under files / 8 directories, deterministic.
+inline BeeCluster make_populated_bee_cluster(std::uint64_t seed,
+                                             std::size_t files = 120) {
+  BeeCluster cluster(4);
+  Rng rng(seed);
+  std::vector<std::string> dirs = {cluster.root()};
+  for (std::size_t i = 0; i < files / 8; ++i) {
+    dirs.push_back(
+        cluster.mkdir(dirs[rng.below(dirs.size())], "d" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < files; ++i) {
+    cluster.create_file(dirs[rng.below(dirs.size())],
+                        "f" + std::to_string(i),
+                        64 * 1024 + rng.below(3u << 20));
+  }
   return cluster;
 }
 
