@@ -10,10 +10,9 @@
 //   - an OnlineChecker runs continuously: catch_up → scrub_step →
 //     check each tick; detections trigger the repair-convergence
 //     oracle, which must reach a clean check within bounded rounds,
-//   - periodic *offline* verification passes run the fault-tolerant
-//     scan pipeline with a persistent OpFaultSchedule (one OST crashes
-//     hard), exercising checkpoint interrupt/resume, the stale-epoch
-//     guard, and degraded-coverage recovery after revive().
+//   - periodic *offline* verification passes run run_checker with a
+//     persistent OpFaultSchedule (one OST crashes hard), exercising
+//     degraded coverage and its recovery after revive().
 //
 // Measured: detection latency (injection → first finding, sim time),
 // repair convergence rounds, degraded-coverage recovery time, and
@@ -25,13 +24,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "aggregator/aggregator.h"
+#include "checker/checker.h"
 #include "checker/convergence.h"
 #include "faults/injector.h"
 #include "faults/op_faults.h"
@@ -104,8 +101,6 @@ struct Metrics {
   std::size_t convergence_rounds_max = 0;
   std::size_t repairs_applied = 0;
   std::size_t offline_passes = 0;
-  std::size_t servers_resumed = 0;
-  std::size_t checkpoints_discarded = 0;
   double degraded_start_sim = -1.0;
   double degraded_recovery_sim = -1.0;
   bool final_consistent = false;
@@ -130,9 +125,7 @@ class Soak {
       : params_(params),
         cluster_(params.osts, StripePolicy{64 * 1024, -1}),
         offline_faults_(offline_fault_config(params)),
-        dead_label_("oss" + std::to_string(params.osts - 1)),
-        checkpoint_path_(std::filesystem::temp_directory_path() /
-                         ("soak_" + std::to_string(params.seed) + ".frcp")) {
+        dead_label_("oss" + std::to_string(params.osts - 1)) {
     cluster_.attach_changelog(&log_);
     NamespaceConfig ns;
     ns.file_count = params_.files;
@@ -150,12 +143,6 @@ class Soak {
     checker_->bootstrap();
 
     injector_ = std::make_unique<FaultInjector>(cluster_, params_.seed ^ 0xfa);
-    std::filesystem::remove(checkpoint_path_);
-  }
-
-  ~Soak() {
-    std::error_code ignored;
-    std::filesystem::remove(checkpoint_path_, ignored);
   }
 
   int run(const char* out_path);
@@ -180,7 +167,6 @@ class Soak {
   ChangeLog log_;
   OpFaultSchedule offline_faults_;
   std::string dead_label_;
-  std::filesystem::path checkpoint_path_;
   std::unique_ptr<TrafficDriver> traffic_;
   std::unique_ptr<OnlineChecker> checker_;
   std::unique_ptr<FaultInjector> injector_;
@@ -277,59 +263,28 @@ void Soak::tick(std::size_t index) {
 
 void Soak::offline_pass(std::size_t index) {
   ++metrics_.offline_passes;
-  PipelineConfig config;
+  if (index == 2) {
+    // Third pass: the operator brings the dead OST back.
+    offline_faults_.server(dead_label_).revive();
+  }
+  CheckerConfig config;
   config.faults = &offline_faults_;
-  config.checkpoint_path = checkpoint_path_.string();
-  config.checkpoint_epoch = log_.next_index();
+  const CheckerResult result = run_checker(cluster_, config);
+  sim_seconds_ += result.timings.t_scan_sim + result.timings.t_graph_sim;
 
-  if (index == 0) {
-    // First pass: interrupt mid-run, then resume from the checkpoint
-    // under the same epoch — completed scans must be reused.
-    config.interrupt_after_servers = 2;
-    bool interrupted = false;
-    try {
-      (void)scan_and_aggregate(cluster_, config);
-    } catch (const PipelineInterrupted&) {
-      interrupted = true;
-    }
-    invariants_.expect(interrupted, "interrupt hook fired on first pass");
-    config.interrupt_after_servers =
-        std::numeric_limits<std::size_t>::max();
-    const PipelineResult resumed = scan_and_aggregate(cluster_, config);
-    metrics_.servers_resumed += resumed.servers_resumed;
-    sim_seconds_ += resumed.agg.sim_pipeline_seconds;
-    invariants_.expect(resumed.servers_resumed == 2,
-                       "same-epoch resume prefilled both completed scans");
-    invariants_.expect(!resumed.checkpoint_discarded,
-                       "same-epoch checkpoint was not discarded");
-    invariants_.expect(resumed.agg.coverage.coverage < 1.0,
-                       "crashed OST degraded offline coverage");
-    metrics_.degraded_start_sim = sim_seconds_;
+  if (index < 2) {
+    // The crashed OST's latch survives rescans, so both passes before
+    // the revive run degraded.
+    invariants_.expect(result.coverage.coverage < 1.0,
+                       index == 0 ? "crashed OST degraded offline coverage"
+                                  : "dead OST still down on second pass");
+    if (index == 0) metrics_.degraded_start_sim = sim_seconds_;
     return;
   }
 
-  if (index == 1) {
-    // Second pass: the cluster mutated since the last checkpoint was
-    // flushed, so its epoch is stale — it must be discarded, never
-    // silently merged into a fresher scan.
-    const PipelineResult result = scan_and_aggregate(cluster_, config);
-    sim_seconds_ += result.agg.sim_pipeline_seconds;
-    if (result.checkpoint_discarded) ++metrics_.checkpoints_discarded;
-    invariants_.expect(result.checkpoint_discarded,
-                       "stale-epoch checkpoint discarded");
-    invariants_.expect(result.servers_resumed == 0,
-                       "no server resumed from a stale checkpoint");
-    invariants_.expect(result.agg.coverage.coverage < 1.0,
-                       "dead OST still down on second pass");
-    return;
-  }
-
-  // Third pass: the operator brings the dead OST back; coverage must
-  // return to 100% and the recovery time is measured in sim seconds.
-  offline_faults_.server(dead_label_).revive();
-  const PipelineResult result = scan_and_aggregate(cluster_, config);
-  sim_seconds_ += result.agg.sim_pipeline_seconds;
-  invariants_.expect(result.agg.coverage.coverage == 1.0,
+  // After the revive, coverage must return to 100%; the recovery time
+  // is measured in sim seconds.
+  invariants_.expect(result.coverage.coverage == 1.0,
                      "revived OST restored full offline coverage");
   invariants_.expect(result.failed_servers.empty(),
                      "no failed servers after revive");
@@ -384,12 +339,9 @@ void Soak::write_json(const char* path) const {
                    : 0.0,
                static_cast<unsigned long long>(metrics_.scrub_slots));
   std::fprintf(out,
-               "  \"offline\": {\"passes\": %zu, \"servers_resumed\": %zu, "
-               "\"checkpoints_discarded\": %zu,\n"
-               "    \"degraded_recovery_sim_seconds\": %.6f},\n",
-               metrics_.offline_passes, metrics_.servers_resumed,
-               metrics_.checkpoints_discarded,
-               metrics_.degraded_recovery_sim);
+               "  \"offline\": {\"passes\": %zu, "
+               "\"degraded_recovery_sim_seconds\": %.6f},\n",
+               metrics_.offline_passes, metrics_.degraded_recovery_sim);
   std::fprintf(out, "  \"final_consistent\": %s,\n",
                metrics_.final_consistent ? "true" : "false");
   std::fprintf(out, "  \"invariant_failures\": %d\n", invariants_.failures);

@@ -27,8 +27,8 @@ run cmake --build --preset default -j "${JOBS}"
 run ctest --preset default -j "${JOBS}" --output-on-failure
 
 # 2. ThreadSanitizer over the concurrency-labelled suite (pool torture,
-#    parallel-aggregation determinism, an interrupted pooled scan
-#    unwinding while its task groups drain). The test preset pins
+#    parallel-aggregation determinism, pooled checks under a fault
+#    schedule and with BeeGFS repairs). The test preset pins
 #    TSAN_OPTIONS=detect_deadlocks=1:second_deadlock_stack=1:halt_on_error=1,
 #    so a lock-order inversion fails the test that produced it, and the
 #    lock_order_control.* entries prove TSan still reports a seeded
@@ -70,10 +70,9 @@ echo "==> fr_analyze --stats src bench tools (build/BENCH_analysis.json)"
 cat build/BENCH_analysis.json
 
 # 5. Robustness gate: the `robustness`-labelled suite (operational
-#    faults, degraded coverage, checkpoint/resume determinism, crash
-#    states) plus the fault-campaign smoke — one seed of metadata
-#    faults + a mid-scan OST crash; exits non-zero on any false
-#    positive or missed recall. The crash-matrix smoke then replays a
+#    faults, degraded coverage, crash states) plus the fault-campaign
+#    smoke — one seed of metadata faults + a mid-scan OST crash; exits
+#    non-zero on any false positive or missed recall. The crash-matrix smoke then replays a
 #    slice of the enumerated-crash + fuzz campaign (DESIGN.md §15):
 #    every ground-truthed state must repair to convergence with zero
 #    false positives, and raw-bytes fuzzing must stay behind
@@ -100,9 +99,9 @@ if got != want:
 PY
 
 # 5b. Cluster-life soak smoke: traffic + injected faults + the online
-#     checker + checkpointed offline passes on one cluster; exits
-#     non-zero if detection, repair convergence, the stale-epoch guard,
-#     or degraded-coverage recovery breaks.
+#     checker + degraded offline checks on one cluster; exits non-zero
+#     if detection, repair convergence, degraded coverage or its
+#     recovery after revive() breaks.
 run ./build/bench/soak --smoke --out build/BENCH_soak_smoke.json
 
 # 6. Rank-kernel smoke: the planned kernel (DESIGN.md §9) must

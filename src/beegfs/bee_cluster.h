@@ -31,8 +31,11 @@
 namespace faultyrank {
 
 /// Sequence space for BeeGFS entities, disjoint from the Lustre ones.
+/// A chunk on target t has sequence kBeeChunkSeqBase + t; a chunk whose
+/// file name is not an entry id has kBeeQuarantineSeqBase + t.
 inline constexpr std::uint64_t kBeeMetaSeq = 0x300000000ULL;
 inline constexpr std::uint64_t kBeeChunkSeqBase = 0x310000000ULL;
+inline constexpr std::uint64_t kBeeQuarantineSeqBase = 0xbee0deadULL;
 
 /// BeeGFS entry ids are strings; ours are canonically derived from (and
 /// parseable back to) a FID so they can key the shared metadata graph.

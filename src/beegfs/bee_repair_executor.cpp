@@ -15,10 +15,13 @@ bool is_meta_fid(const Fid& fid) { return fid.seq == kBeeMetaSeq; }
 }  // namespace
 
 int BeeRepairExecutor::target_of(const Fid& fid) const {
-  if (fid.seq < kBeeChunkSeqBase) return -1;
-  const std::uint64_t index = fid.seq - kBeeChunkSeqBase;
-  if (index >= cluster_.targets().size()) return -1;
-  return static_cast<int>(index);
+  const std::uint64_t targets = cluster_.targets().size();
+  for (const std::uint64_t base : {kBeeChunkSeqBase, kBeeQuarantineSeqBase}) {
+    if (fid.seq >= base && fid.seq - base < targets) {
+      return static_cast<int>(fid.seq - base);
+    }
+  }
+  return -1;
 }
 
 BeeChunkFile* BeeRepairExecutor::find_chunk(const Fid& identity) {

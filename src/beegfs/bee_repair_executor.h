@@ -20,7 +20,9 @@ class BeeRepairExecutor {
   std::vector<RepairOutcome> apply_all(const RepairPlan& plan);
 
  private:
-  /// Which storage target a chunk-identity fid lives on, or -1.
+  /// Which storage target a chunk-identity fid lives on, or -1. Both a
+  /// chunk's identity and its quarantine identity (a chunk file whose
+  /// name is not an entry id) name their target.
   [[nodiscard]] int target_of(const Fid& fid) const;
   [[nodiscard]] BeeChunkFile* find_chunk(const Fid& identity);
 

@@ -11,7 +11,7 @@ Fid chunk_identity(std::uint32_t target, const std::string& name) {
   // Unparseable chunk name: quarantine identity derived from the bytes.
   const auto hash = static_cast<std::uint32_t>(
       std::hash<std::string>{}(name) & 0xffffffffu);
-  return Fid{0xbee0deadULL + target, hash, 0};
+  return Fid{kBeeQuarantineSeqBase + target, hash, 0};
 }
 
 ScanResult scan_bee_meta(const BeeMetaServer& meta, const DiskModel& disk) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "beegfs/bee_repair_executor.h"
 #include "beegfs/bee_scanner.h"
@@ -42,20 +45,27 @@ CheckerResult rank_and_detect(const ClusterScan& scan,
 }
 
 /// One scan→aggregate→rank→detect pass; repairs are the caller's call.
+/// Scans and encode + merge run on the pool; graph and sim numbers are
+/// identical to a serial run. Degraded mode: with a fault schedule, a
+/// crashed server shrinks coverage rather than aborting the check.
 CheckerResult run_pass(LustreCluster& cluster, const CheckerConfig& config) {
-  // Scans and encode + merge run on the pool; graph and sim numbers are
-  // identical to a serial run. Degraded mode: with a fault schedule, a
-  // crashed server shrinks coverage rather than aborting the check.
-  PipelineConfig pipeline_config;
-  pipeline_config.pool = config.pool;
-  pipeline_config.mdt_disk = config.mdt_disk;
-  pipeline_config.ost_disk = config.ost_disk;
-  pipeline_config.net = config.net;
-  pipeline_config.faults = config.faults;
-  const PipelineResult pipeline = scan_and_aggregate(cluster, pipeline_config);
+  ClusterScan scan = scan_cluster(cluster, config.pool, config.mdt_disk,
+                                  config.ost_disk, config.faults);
+  AggregationResult aggregated =
+      aggregate(scan.results, config.net, config.pool);
+  // aggregate() records the surviving fraction and quarantined inodes;
+  // only the cluster knows each failed server's label and the FID
+  // sequence it owned. Detection reads the lost sequences to mark
+  // findings unverifiable, so they are added before it runs.
+  std::vector<std::string> failed_servers;
+  for (std::size_t i = 0; i < scan.results.size(); ++i) {
+    if (scan.results[i].status != ScanStatus::kFailed) continue;
+    failed_servers.push_back(cluster.image(i).label());
+    aggregated.coverage.add_lost_sequence(cluster.fids(i).seq());
+  }
   CheckerResult result =
-      rank_and_detect(pipeline.scan, pipeline.agg, cluster.root(), config);
-  result.failed_servers = pipeline.failed_servers;
+      rank_and_detect(scan, aggregated, cluster.root(), config);
+  result.failed_servers = std::move(failed_servers);
   return result;
 }
 

@@ -53,13 +53,6 @@ class ByteWriter {
     std::memcpy(claim(sizeof(T)), &value, sizeof(T));
   }
 
-  /// Length-prefixed opaque blob (nested wire encodings, e.g. a
-  /// partial graph inside a checkpoint).
-  void put_bytes(const std::vector<std::uint8_t>& blob) {
-    put(static_cast<std::uint64_t>(blob.size()));
-    append(blob.data(), blob.size());
-  }
-
   void put_string(const std::string& s) {
     if (s.size() > UINT32_MAX) {
       throw SerdesError("string too long to encode: " +
@@ -156,12 +149,6 @@ class ByteReader {
     const auto len = get<std::uint32_t>();
     const std::uint8_t* at = checked_span(len, "string");
     return {reinterpret_cast<const char*>(at), len};
-  }
-
-  [[nodiscard]] std::vector<std::uint8_t> get_bytes() {
-    const auto len = get<std::uint64_t>();
-    const std::uint8_t* at = checked_span(len, "blob");
-    return {at, at + static_cast<std::size_t>(len)};
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }

@@ -15,9 +15,10 @@
 //
 // Determinism contract: probe(slot, attempt) is a pure function of
 // (seed, server label, slot, attempt). Rescanning a server replays the
-// exact same fault sequence, which is what makes checkpoint/resume
-// bit-reproducible. The only latched state is the crash: a server that
-// died stays dead across rescans until the schedule is destroyed.
+// exact same fault sequence, so a check under a schedule is
+// bit-reproducible for any pool size. The only latched state is the
+// crash: a server that died stays dead across rescans until revive()
+// or the schedule is destroyed.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,7 @@ struct OpFaultConfig {
 };
 
 /// Per-server fault stream. Not thread-safe across calls — exactly one
-/// scan task drives a given server's schedule at a time (the pipeline
+/// scan task drives a given server's schedule at a time (scan_cluster
 /// resolves schedules on the submitting thread; see OpFaultSchedule).
 class ServerFaultSchedule {
  public:
@@ -109,7 +110,7 @@ class ServerFaultSchedule {
 };
 
 /// Cluster-wide schedule: hands out one ServerFaultSchedule per server
-/// label, created lazily. server() is mutex-guarded so the pipeline may
+/// label, created lazily. server() is mutex-guarded so a caller may
 /// resolve schedules from any thread; the returned reference stays
 /// valid for the schedule's lifetime (node-stable map).
 class OpFaultSchedule {

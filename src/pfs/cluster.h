@@ -110,8 +110,8 @@ class LustreCluster {
   [[nodiscard]] OstServer& ost(std::size_t i) { return osts_.at(i); }
 
   // ---- servers by slot: MDTs in index order, then OSTs ----
-  // The one server order: scans, checkpoints, repairs and the online
-  // checker all number servers by slot.
+  // The one server order: scans, repairs and the online checker all
+  // number servers by slot.
   [[nodiscard]] std::size_t server_count() const noexcept {
     return mdts_.size() + osts_.size();
   }

@@ -49,8 +49,9 @@ void save_cluster(const LustreCluster& cluster, const std::string& path);
 [[nodiscard]] LustreCluster load_cluster(const std::string& path);
 
 /// Atomically replaces `path` with `bytes` (write `path + ".tmp"`,
-/// flush, rename). Shared by snapshot and checkpoint writers — both
-/// must survive a crash mid-save without corrupting the existing file.
+/// flush, rename). Shared by the snapshot writer and the CLI's undo
+/// file — both must survive a crash mid-save without corrupting the
+/// existing file.
 void atomic_write_file(const std::vector<std::uint8_t>& bytes,
                        const std::string& path);
 

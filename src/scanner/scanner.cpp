@@ -1,10 +1,6 @@
 #include "scanner/scanner.h"
 
 #include <algorithm>
-#include <deque>
-#include <numeric>
-
-#include "common/timer.h"
 
 namespace faultyrank {
 
@@ -146,7 +142,6 @@ void fail_scan(ScanResult& result, std::string error, double sim_seconds) {
 ScanResult scan_image(const LdiskfsImage& image, bool on_mdt,
                       const DiskModel& disk, ServerFaultSchedule* faults,
                       const RetryPolicy& retry) {
-  WallTimer timer;
   ScanResult result;
   result.graph.server = image.label();
   size_partial(image, on_mdt, result.graph);
@@ -189,7 +184,6 @@ ScanResult scan_image(const LdiskfsImage& image, bool on_mdt,
   if (result.status != ScanStatus::kFailed) {
     result.sim_seconds = sim_after(image.inode_slots());
   }
-  result.wall_seconds = timer.seconds();
   return result;
 }
 
@@ -209,20 +203,19 @@ ScanResult scan_ost(const OstServer& ost, const DiskModel& disk,
   return scan_image(ost.image, false, disk, faults, retry);
 }
 
-void scan_servers(const LustreCluster& cluster,
-                  std::span<const std::size_t> slots, ClusterScan& scan,
-                  ThreadPool* pool, const DiskModel& mdt_disk,
-                  const DiskModel& ost_disk, OpFaultSchedule* op_faults,
-                  const RetryPolicy& retry,
-                  const std::function<void(std::size_t)>& on_scanned) {
+ClusterScan scan_cluster(const LustreCluster& cluster, ThreadPool* pool,
+                         const DiskModel& mdt_disk, const DiskModel& ost_disk,
+                         OpFaultSchedule* op_faults, const RetryPolicy& retry) {
   const std::size_t mdt_count = cluster.mdt_count();
+  ClusterScan scan;
+  scan.results.resize(cluster.server_count());
 
   // Resolve every server's schedule up front, on this thread: the scan
   // tasks then touch only their own ServerFaultSchedule, which is
   // single-writer by construction.
   std::vector<ServerFaultSchedule*> schedules(scan.results.size(), nullptr);
   if (op_faults != nullptr) {
-    for (const std::size_t slot : slots) {
+    for (std::size_t slot = 0; slot < schedules.size(); ++slot) {
       schedules[slot] = &op_faults->server(cluster.image(slot).label());
     }
   }
@@ -248,23 +241,16 @@ void scan_servers(const LustreCluster& cluster,
   };
 
   if (pool != nullptr && pool->size() > 1) {
-    // One group per server, waited on in `slots` order, so on_scanned
-    // sees the serial loop's sequence whichever scan finishes first.
-    // Own groups also keep this wait from observing unrelated work on a
-    // shared pool. If on_scanned throws, the groups drain on unwind.
-    std::deque<TaskGroup> groups;
-    for (const std::size_t slot : slots) {
-      groups.emplace_back(*pool).submit(
-          [&scan_slot, slot] { scan_slot(slot); });
+    // Each task writes only its own slot. The group's own wait keeps
+    // this call from observing unrelated work on a shared pool.
+    TaskGroup group(*pool);
+    for (std::size_t slot = 0; slot < scan.results.size(); ++slot) {
+      group.submit([&scan_slot, slot] { scan_slot(slot); });
     }
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      groups[k].wait();
-      if (on_scanned) on_scanned(slots[k]);
-    }
+    group.wait();
   } else {
-    for (const std::size_t slot : slots) {
+    for (std::size_t slot = 0; slot < scan.results.size(); ++slot) {
       scan_slot(slot);
-      if (on_scanned) on_scanned(slot);
     }
   }
 
@@ -274,17 +260,6 @@ void scan_servers(const LustreCluster& cluster,
     scan.sim_seconds = std::max(scan.sim_seconds, result.sim_seconds);
     scan.inodes_scanned += result.inodes_scanned;
   }
-}
-
-ClusterScan scan_cluster(const LustreCluster& cluster, ThreadPool* pool,
-                         const DiskModel& mdt_disk, const DiskModel& ost_disk,
-                         OpFaultSchedule* op_faults, const RetryPolicy& retry) {
-  ClusterScan scan;
-  scan.results.resize(cluster.server_count());
-  std::vector<std::size_t> slots(scan.results.size());
-  std::iota(slots.begin(), slots.end(), std::size_t{0});
-  scan_servers(cluster, slots, scan, pool, mdt_disk, ost_disk, op_faults,
-               retry);
   return scan;
 }
 

@@ -26,9 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +62,6 @@ struct ScanResult {
   PartialGraph graph;
   bool local_to_mds = false;   ///< MDS partial graphs skip the network
   double sim_seconds = 0.0;    ///< virtual disk time
-  double wall_seconds = 0.0;   ///< measured CPU time
   std::uint64_t inodes_scanned = 0;
   std::uint64_t directories_visited = 0;
   ScanStatus status = ScanStatus::kComplete;
@@ -146,26 +143,14 @@ struct ClusterScan {
   std::uint64_t inodes_scanned = 0;
 };
 
-/// The per-server scan loop. Scans each server in `slots` (cluster
-/// slots, LustreCluster::image) into scan.results[slot]: looks up its
-/// fault schedule on this thread, dispatches to scan_mdt or scan_ost,
-/// and records a scan that throws as a kFailed slot. With a pool each
-/// server runs in its own TaskGroup. As each slot completes, in `slots`
-/// order, on_scanned(slot) runs on this thread; if it throws, scans
-/// still in flight drain before the exception propagates. Then rolls
-/// every slot of scan.results up into sim_seconds and inodes_scanned.
-void scan_servers(const LustreCluster& cluster,
-                  std::span<const std::size_t> slots, ClusterScan& scan,
-                  ThreadPool* pool, const DiskModel& mdt_disk,
-                  const DiskModel& ost_disk, OpFaultSchedule* op_faults,
-                  const RetryPolicy& retry,
-                  const std::function<void(std::size_t)>& on_scanned = {});
-
-/// Runs every per-server scanner through scan_servers, on `pool` if
-/// provided (one task group per server, mirroring the paper's
-/// concurrent scanners). Never throws on a server's failure: a crashed server is
-/// reported as a kFailed slot in `results`, and the surviving scans are
-/// kept.
+/// Scans every server of `cluster` into results[slot] (cluster slots,
+/// LustreCluster::image): looks up each server's fault schedule
+/// on this thread, dispatches to scan_mdt or scan_ost, and records a
+/// scan that throws as a kFailed slot. With a pool every server runs as
+/// a task of one TaskGroup, mirroring the paper's concurrent scanners;
+/// the results are the same for any pool size. Never throws on a
+/// server's failure: a crashed server is reported as a kFailed slot in
+/// `results`, and the surviving scans are kept.
 [[nodiscard]] ClusterScan scan_cluster(const LustreCluster& cluster,
                                        ThreadPool* pool = nullptr,
                                        const DiskModel& mdt_disk = DiskModel::ssd(),

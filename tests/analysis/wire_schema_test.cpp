@@ -151,7 +151,7 @@ void load_all(ByteReader& r) {
 }
 
 TEST(WireSchemaTest, OneSidedOptionalSplicesAgainstPlainFields) {
-  // FRCP's epoch shape: the writer always emits the field, the reader
+  // A field added in version 2: the writer always emits it, the reader
   // version-gates it.
   const TestCorpus c = analyze({{"a.cpp", R"(
 void save_epoch(ByteWriter& w) {

@@ -128,6 +128,38 @@ TEST(BeeCheckerTest, RenamedChunkFileDetectedAndReidentified) {
   EXPECT_TRUE(renamed_back);
 }
 
+TEST(BeeCheckerTest, ChunkRenamedToANonEntryIdIsRenamedBack) {
+  // A chunk file renamed to a name that is not an entry id scans under
+  // its quarantine identity. The overwrite-id repair must still find it
+  // on its target and rename it back to its owner's entry id.
+  BeeCluster cluster = make_cluster(86);
+  std::size_t target = 0;
+  std::size_t slot = 0;
+  while (!cluster.targets()[target].chunks[slot].in_use) {
+    if (++slot == cluster.targets()[target].chunks.size()) {
+      slot = 0;
+      ++target;
+    }
+  }
+  BeeChunkFile& chunk = cluster.targets()[target].chunks[slot];
+  const std::string owner = chunk.name;
+  chunk.name = "garbage-name";
+
+  CheckerConfig config;
+  config.apply_repairs = true;
+  config.verify_after_repair = true;
+  const CheckerResult result = run_checker(cluster, config);
+  EXPECT_FALSE(result.report.consistent());
+  EXPECT_EQ(result.repairs_applied, 1u);
+  for (const RepairOutcome& outcome : result.repair_outcomes) {
+    if (outcome.applied) {
+      EXPECT_EQ(outcome.detail, "chunk file renamed");
+    }
+  }
+  EXPECT_TRUE(result.verified_consistent);
+  EXPECT_EQ(cluster.targets()[target].chunks[slot].name, owner);
+}
+
 TEST(BeeCheckerTest, MissingParentXattrRepairedFromDentry) {
   BeeCluster cluster = make_cluster(87);
   const std::string dir = cluster.mkdir(cluster.root(), "pdir");

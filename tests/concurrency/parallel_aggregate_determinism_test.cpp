@@ -4,17 +4,15 @@
 // so a pooled aggregate differs from a serial one only in the parallel
 // pairing (pairing flags, in-degree splits, unpaired-edge order). Both
 // are also checked against a per-edge has_edge pairing oracle. A pooled
-// BeeGFS check with repairs must match the serial check too.
+// Lustre check under a fault schedule and a pooled BeeGFS check with
+// repairs must match the serial check too.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "aggregator/aggregator.h"
-#include "aggregator/checkpoint.h"
 #include "checker/checker.h"
 #include "common/thread_pool.h"
 #include "faults/injector.h"
@@ -142,71 +140,6 @@ TEST(ParallelAggregateTest, ClusterScanAggregateMatchesSerial) {
   EXPECT_DOUBLE_EQ(serial.sim_pipeline_seconds, parallel.sim_pipeline_seconds);
 }
 
-TEST(ParallelAggregateTest, StreamingPipelineMatchesBatchPath) {
-  LustreCluster cluster = testing::make_populated_cluster(150, 93);
-  FaultInjector injector(cluster, 94);
-  injector.inject_campaign(3);
-
-  ClusterScan scan = scan_cluster(cluster);
-  const AggregationResult batch = aggregate(scan.results);
-
-  ThreadPool pool(4);
-  PipelineConfig config;
-  config.pool = &pool;
-  const PipelineResult streamed = scan_and_aggregate(cluster, config);
-
-  testing::expect_identical(batch.graph, streamed.agg.graph);
-  EXPECT_EQ(batch.transferred_bytes, streamed.agg.transferred_bytes);
-  EXPECT_DOUBLE_EQ(batch.sim_transfer_seconds,
-                   streamed.agg.sim_transfer_seconds);
-  EXPECT_DOUBLE_EQ(batch.sim_pipeline_seconds,
-                   streamed.agg.sim_pipeline_seconds);
-  EXPECT_DOUBLE_EQ(scan.sim_seconds, streamed.scan.sim_seconds);
-  EXPECT_EQ(scan.inodes_scanned, streamed.scan.inodes_scanned);
-}
-
-TEST(ParallelAggregateTest, InterruptedPoolRunCheckpointsTheSerialSlots) {
-  // Interrupted after 2 scans, a pooled run must leave the serial run's
-  // checkpoint: slots 0 and 1, whichever scans finish first. Scans still
-  // in flight drain while PipelineInterrupted unwinds.
-  const LustreCluster cluster = testing::make_populated_cluster(150, 96, 4);
-  const auto interrupted = [&cluster](std::size_t threads) {
-    const std::string path = ::testing::TempDir() + "/ckpt_interrupt_" +
-                             std::to_string(threads) + ".frcp";
-    std::filesystem::remove(path);
-    std::optional<ThreadPool> pool;
-    PipelineConfig config;
-    if (threads > 0) config.pool = &pool.emplace(threads);
-    config.checkpoint_path = path;
-    config.interrupt_after_servers = 2;
-    EXPECT_THROW((void)scan_and_aggregate(cluster, config),
-                 PipelineInterrupted);
-    ScanCheckpoint checkpoint = load_checkpoint(path);
-    std::filesystem::remove(path);
-    return checkpoint;
-  };
-  const ScanCheckpoint serial = interrupted(0);
-  ASSERT_EQ(serial.results.size(), 5u);
-  for (std::size_t slot = 0; slot < serial.results.size(); ++slot) {
-    EXPECT_EQ(serial.results[slot].has_value(), slot < 2) << "slot " << slot;
-  }
-  for (const std::size_t threads : {2u, 4u}) {
-    const ScanCheckpoint pooled = interrupted(threads);
-    ASSERT_EQ(pooled.results.size(), serial.results.size());
-    for (std::size_t slot = 0; slot < serial.results.size(); ++slot) {
-      ASSERT_EQ(pooled.results[slot].has_value(),
-                serial.results[slot].has_value())
-          << threads << " threads, slot " << slot;
-      if (!serial.results[slot].has_value()) continue;
-      EXPECT_EQ(pooled.results[slot]->graph.serialize(),
-                serial.results[slot]->graph.serialize());
-      EXPECT_EQ(
-          std::bit_cast<std::uint64_t>(pooled.results[slot]->sim_seconds),
-          std::bit_cast<std::uint64_t>(serial.results[slot]->sim_seconds));
-    }
-  }
-}
-
 TEST(ParallelAggregateTest, PipelinedSimTimeOverlapsTransfers) {
   LustreCluster cluster = testing::make_populated_cluster(150, 95);
   ClusterScan scan = scan_cluster(cluster);
@@ -217,6 +150,77 @@ TEST(ParallelAggregateTest, PipelinedSimTimeOverlapsTransfers) {
             scan.sim_seconds + agg.sim_transfer_seconds);
   EXPECT_GE(agg.sim_pipeline_seconds, scan.sim_seconds);
   EXPECT_GT(agg.sim_transfer_seconds, 0.0);
+}
+
+/// A pooled check must reproduce the serial one: ranks bit for bit and
+/// findings field by field.
+void expect_same_ranks_and_findings(const CheckerResult& got,
+                                    const CheckerResult& want) {
+  ASSERT_EQ(got.ranks.id_rank.size(), want.ranks.id_rank.size());
+  EXPECT_EQ(got.ranks.iterations, want.ranks.iterations);
+  for (std::size_t v = 0; v < want.ranks.id_rank.size(); ++v) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.ranks.id_rank[v]),
+              std::bit_cast<std::uint64_t>(want.ranks.id_rank[v]))
+        << "gid " << v;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.ranks.prop_rank[v]),
+              std::bit_cast<std::uint64_t>(want.ranks.prop_rank[v]))
+        << "gid " << v;
+  }
+  ASSERT_EQ(got.report.findings.size(), want.report.findings.size());
+  for (std::size_t i = 0; i < want.report.findings.size(); ++i) {
+    const Finding& w = want.report.findings[i];
+    const Finding& g = got.report.findings[i];
+    EXPECT_EQ(g.category, w.category) << i;
+    EXPECT_EQ(g.culprit, w.culprit) << i;
+    EXPECT_EQ(g.source, w.source) << i;
+    EXPECT_EQ(g.target, w.target) << i;
+    EXPECT_EQ(g.edge_kind, w.edge_kind) << i;
+    EXPECT_EQ(g.convicted_object, w.convicted_object) << i;
+    EXPECT_EQ(g.convicted_id_field, w.convicted_id_field) << i;
+    EXPECT_EQ(g.repair, w.repair) << i;
+    EXPECT_EQ(g.note, w.note) << i;
+  }
+}
+
+// The pooled scan runs every server as a task of one TaskGroup. Under a
+// fault schedule — one OST crashes mid-scan, transient EIO everywhere,
+// some of it outlasting the retry budget — each pool, with a fresh
+// schedule, must reproduce the serial check. The cluster is large
+// enough (> kRankSerialGrain vertices) that the rank kernel splits too.
+TEST(PooledFaultCheckTest, DegradedCheckMatchesSerialForAnyPool) {
+  LustreCluster cluster = testing::make_populated_cluster(600, 98, 4);
+  FaultInjector injector(cluster, 99);
+  injector.inject_campaign(3);
+  OpFaultConfig fault_config;
+  fault_config.seed = 98;
+  fault_config.transient_eio_rate = 0.1;
+  fault_config.max_fault_attempts = 6;  // past RetryPolicy's 4 reads
+  fault_config.crash_after_reads["oss1"] = 40;
+  const auto check = [&](ThreadPool* pool) {
+    OpFaultSchedule faults(fault_config);
+    CheckerConfig config;
+    config.pool = pool;
+    config.faults = &faults;
+    return run_checker(cluster, config);
+  };
+
+  const CheckerResult serial = check(nullptr);
+  ASSERT_EQ(serial.failed_servers, std::vector<std::string>{"oss1"});
+  ASSERT_EQ(serial.coverage.lost_sequences.size(), 1u);
+  ASSERT_FALSE(serial.coverage.quarantined.empty());
+  ASSERT_GT(serial.vertices, kRankSerialGrain);
+  ASSERT_FALSE(serial.report.findings.empty());
+
+  for (const std::size_t threads : {2u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    const CheckerResult pooled = check(&pool);
+    EXPECT_EQ(pooled.failed_servers, serial.failed_servers);
+    EXPECT_EQ(pooled.coverage.coverage, serial.coverage.coverage);
+    EXPECT_EQ(pooled.coverage.lost_sequences, serial.coverage.lost_sequences);
+    EXPECT_EQ(pooled.coverage.quarantined, serial.coverage.quarantined);
+    expect_same_ranks_and_findings(pooled, serial);
+  }
 }
 
 // FRPG encoding, the merge and the rank kernel run on the pool; the
@@ -256,30 +260,8 @@ TEST(PooledBeeCheckTest, RepairsMatchSerialForAnyPool) {
     BeeCluster cluster = damaged_cluster();
     const CheckerResult pooled = run_checker(cluster, pooled_config);
 
-    ASSERT_EQ(pooled.ranks.id_rank.size(), serial.ranks.id_rank.size());
-    EXPECT_EQ(pooled.ranks.iterations, serial.ranks.iterations);
-    for (std::size_t v = 0; v < serial.ranks.id_rank.size(); ++v) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled.ranks.id_rank[v]),
-                std::bit_cast<std::uint64_t>(serial.ranks.id_rank[v]))
-          << threads << " threads, gid " << v;
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(pooled.ranks.prop_rank[v]),
-                std::bit_cast<std::uint64_t>(serial.ranks.prop_rank[v]))
-          << threads << " threads, gid " << v;
-    }
-    ASSERT_EQ(pooled.report.findings.size(), serial.report.findings.size());
-    for (std::size_t i = 0; i < serial.report.findings.size(); ++i) {
-      const Finding& want = serial.report.findings[i];
-      const Finding& got = pooled.report.findings[i];
-      EXPECT_EQ(got.category, want.category) << i;
-      EXPECT_EQ(got.culprit, want.culprit) << i;
-      EXPECT_EQ(got.source, want.source) << i;
-      EXPECT_EQ(got.target, want.target) << i;
-      EXPECT_EQ(got.edge_kind, want.edge_kind) << i;
-      EXPECT_EQ(got.convicted_object, want.convicted_object) << i;
-      EXPECT_EQ(got.convicted_id_field, want.convicted_id_field) << i;
-      EXPECT_EQ(got.repair, want.repair) << i;
-      EXPECT_EQ(got.note, want.note) << i;
-    }
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    expect_same_ranks_and_findings(pooled, serial);
     ASSERT_EQ(pooled.repair_outcomes.size(), serial.repair_outcomes.size());
     for (std::size_t i = 0; i < serial.repair_outcomes.size(); ++i) {
       EXPECT_EQ(pooled.repair_outcomes[i].action,

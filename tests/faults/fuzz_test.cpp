@@ -195,8 +195,8 @@ TEST(SnapshotFuzzTest, BitFlippedSnapshotsNeverEscalate) {
 }
 
 // Image-level fuzzing: the same guarantees hold for the per-image
-// framing (serialize_image / deserialize_image), which the crash matrix
-// and checkpoint loaders parse without the cluster envelope. The
+// framing (serialize_image / deserialize_image), parsed here on its own,
+// without the cluster envelope. The
 // positional-ino invariant (slot k holds ino k+1) must be enforced at
 // parse time — a flipped ino that slipped through would index the
 // checker's bootstrap tables out of bounds.

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,23 @@ TEST(PersistenceTest, LoadedClusterRemainsFullyOperational) {
   const AggregationResult agg = aggregate(scan.results);
   EXPECT_TRUE(agg.graph.unpaired_edges().empty());
   std::remove(path.c_str());
+}
+
+TEST(PersistenceTest, SaveIsAtomicAndLeavesNoTempFile) {
+  // save_cluster writes through atomic_write_file: the bytes land in
+  // `path + ".tmp"` and are renamed over `path`, so nothing is left
+  // beside the snapshot once the save returns.
+  const LustreCluster cluster = testing::make_populated_cluster(80, 42, 2);
+  const std::string path = temp_path("atomic.fimg");
+  std::filesystem::remove(path);
+
+  save_cluster(cluster, path);
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  const LustreCluster loaded = load_cluster(path);
+  EXPECT_EQ(loaded.server_count(), 3u);
+  std::filesystem::remove(path);
 }
 
 TEST(PersistenceTest, MissingFileThrows) {

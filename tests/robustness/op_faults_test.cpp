@@ -85,6 +85,30 @@ TEST(OpFaultsTest, CrashLatchSurvivesBeginScan) {
   EXPECT_TRUE(sched.down());
 }
 
+TEST(OpFaultsTest, ReviveClearsTheCrashLatch) {
+  // revive() models the operator bringing a dead server back: the latch
+  // clears, the crash point is consumed, and a rescan completes.
+  OpFaultConfig config;
+  config.crash_after_reads["oss0"] = 2;
+  OpFaultSchedule faults(config);
+  ServerFaultSchedule& server = faults.server("oss0");
+
+  server.begin_scan();
+  EXPECT_NO_THROW(server.on_read());
+  EXPECT_NO_THROW(server.on_read());
+  EXPECT_THROW(server.on_read(), ServerCrashError);
+  EXPECT_TRUE(server.down());
+
+  // A rescan without revive stays dead (the latch survives begin_scan).
+  server.begin_scan();
+  EXPECT_THROW(server.on_read(), ServerCrashError);
+
+  server.revive();
+  EXPECT_FALSE(server.down());
+  server.begin_scan();
+  for (int i = 0; i < 10; ++i) EXPECT_NO_THROW(server.on_read());
+}
+
 TEST(OpFaultsTest, ScheduleHandoutIsStablePerLabel) {
   OpFaultSchedule cluster_sched(eio_config(0.2));
   ServerFaultSchedule& first = cluster_sched.server("oss3");

@@ -684,13 +684,17 @@ std::vector<Violation> run_schema_drift_pass(const WireModel& wire,
                      "schema-drift|" + entry.format + "|regenerate"});
     }
   }
+  // A committed fingerprint whose writer/reader pair is gone (a deleted
+  // or renamed format) fails too, so the committed file only ever
+  // describes formats the tree still has.
   for (const SchemaEntry& entry : committed) {
-    if (seen.count(entry.format) == 0) {
-      std::fprintf(stderr,
-                   "fr_analyze: warning: committed schema '%s' no longer "
-                   "matches any writer/reader pair (stale entry in %s)\n",
-                   entry.format.c_str(), options.schemas_path.c_str());
-    }
+    if (seen.count(entry.format) != 0) continue;
+    out.push_back({entry.file, 0, "schema-drift",
+                   "committed wire schema of '" + entry.format +
+                       "' no longer matches any writer/reader pair — "
+                       "regenerate " + options.schemas_path +
+                       " with fr_analyze --write-schemas",
+                   "schema-drift|" + entry.format + "|stale"});
   }
   return out;
 }

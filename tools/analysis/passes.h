@@ -63,7 +63,9 @@
 //                           the committed tools/analysis/
 //                           wire_schemas.json: a schema change without
 //                           a format-version-constant bump in the
-//                           writer's TU fails the gate.
+//                           writer's TU fails the gate, and so does a
+//                           committed entry whose writer/reader pair
+//                           is gone.
 //
 // Line rules (one file's scrubbed-line view, SourceFile::scrubbed):
 //

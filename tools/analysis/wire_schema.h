@@ -18,8 +18,8 @@
 //   * a call that passes the writer/reader variable through
 //     (`put_fid(w, fid)`, `LdiskfsImage::deserialize(r)`) is resolved
 //     through the interprocedural call graph and the callee's fields
-//     are spliced in place, so nested encoders — a partial graph inside
-//     a checkpoint — inline into root schemas.
+//     are spliced in place, so nested encoders — a server image inside
+//     a cluster snapshot — inline into root schemas.
 //
 // Writers and readers are then paired by class (X::serialize ↔
 // X::deserialize) and naming convention (put_X↔get_X, serialize_X↔
@@ -190,8 +190,8 @@ class WireModel {
 
   /// Structural comparison of a pair's expanded sequences; stops at the
   /// first divergence. An optional segment on one side may absorb the
-  /// same fields spelled unconditionally on the other (FRCP v1/v2
-  /// version gates read old files whose writer always emits).
+  /// same fields spelled unconditionally on the other (a version gate
+  /// reads old files whose current writer always emits the field).
   [[nodiscard]] WireMismatch compare_pair(const WirePair& pair) const;
 
  private:
